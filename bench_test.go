@@ -532,16 +532,18 @@ func BenchmarkAblationSymmetryOff(b *testing.B) {
 }
 
 func BenchmarkAblationSearchOrderBFSValence(b *testing.B) {
-	// Valence propagation over the wait-quorum graph: the BFS-built graph
-	// plus the backward fixpoint, the core of every bivalence argument.
-	rep, err := flp.Analyze(flp.NewWaitQuorum(3), flp.AnalyzeOptions{})
+	// Valence propagation over the BFS-built wait-quorum graph: the
+	// backward fixpoint at the core of every bivalence argument. The graph
+	// is explored once; each terminal configuration is labelled with the
+	// parity of its id, so both values flow back through the whole graph.
+	g, err := core.Explore[string](flp.NewSystem(flp.NewWaitQuorum(3), nil, 1), core.ExploreOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = rep
+	decide := func(i int) (int, bool) { return i % 2, g.IsTerminal(i) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := flp.Analyze(flp.NewWaitQuorum(3), flp.AnalyzeOptions{}); err != nil {
+		if _, err := g.Valence(decide); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,24 +50,39 @@ type ValenceInfo struct {
 }
 
 // Valence computes attainable-decision sets for every state. decide
-// reports whether a state is a decided state and with which value
-// (0 ≤ value < MaxDecisionValues). Decidedness is usually a property of
-// terminal states, but intermediate decided states are handled too: their
-// own value is included along with everything reachable beyond them.
-func (g *Graph[S]) Valence(decide func(S) (int, bool)) (*ValenceInfo, error) {
+// reports whether state id i is a decided state and with which value
+// (0 ≤ value < MaxDecisionValues); callers label their states once and
+// answer from the labels. Decidedness is usually a property of terminal
+// states, but intermediate decided states are handled too: their own value
+// is included along with everything reachable beyond them.
+func (g *Graph[S]) Valence(decide func(i int) (int, bool)) (*ValenceInfo, error) {
 	n := len(g.states)
 	masks := make([]uint64, n)
-	// Reverse adjacency for backward propagation.
-	preds := make([][]int32, n)
-	for i := range g.states {
+	// Reverse adjacency for backward propagation, in CSR form: the
+	// predecessors of i are preds[off[i]:off[i+1]]. Count in-degrees into
+	// running ends, then fill each range from its end walking the sources
+	// downwards, so every range lists its predecessors in increasing order
+	// and off[i] lands on the range's start.
+	off := make([]int32, n+1)
+	for i := range g.edges {
 		for _, e := range g.edges[i] {
-			preds[e.To] = append(preds[e.To], int32(i))
+			off[e.To]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	preds := make([]int32, off[n])
+	for i := n - 1; i >= 0; i-- {
+		for _, e := range g.edges[i] {
+			off[e.To]--
+			preds[off[e.To]] = int32(i)
 		}
 	}
 	queue := make([]int, 0, n)
 	inQueue := make([]bool, n)
-	for i, s := range g.states {
-		if v, ok := decide(s); ok {
+	for i := 0; i < n; i++ {
+		if v, ok := decide(i); ok {
 			if v < 0 || v >= MaxDecisionValues {
 				return nil, fmt.Errorf("core: decision value %d out of range [0,%d)", v, MaxDecisionValues)
 			}
@@ -80,7 +95,7 @@ func (g *Graph[S]) Valence(decide func(S) (int, bool)) (*ValenceInfo, error) {
 		i := queue[head]
 		inQueue[i] = false
 		m := masks[i]
-		for _, p := range preds[i] {
+		for _, p := range preds[off[i]:off[i+1]] {
 			if masks[p]|m != masks[p] {
 				masks[p] |= m
 				if !inQueue[p] {
@@ -227,12 +242,18 @@ func (g *Graph[S]) CheckLeadsTo(premise, goal func(S) bool, fair Fairness, numAc
 // whole prefix stays inside the set). This is how a bivalence argument
 // exhibits its non-deciding admissible execution: allowed = bivalent.
 func (g *Graph[S]) FairLassoWithin(allowed func(int) bool, fair Fairness, numActors int) (Lasso, bool) {
-	n := len(g.states)
-	inH := make([]bool, n)
+	return g.fairCycleWithin(g.ReachableWithin(g.inits, allowed), fair, numActors)
+}
+
+// ReachableWithin marks the states reachable from roots along paths that
+// stay inside the allowed set: a root outside it is skipped, and a nil
+// allowed admits every state.
+func (g *Graph[S]) ReachableWithin(roots []int, allowed func(int) bool) []bool {
+	in := make([]bool, len(g.states))
 	var stack []int
-	for _, i := range g.inits {
-		if allowed(i) {
-			inH[i] = true
+	for _, i := range roots {
+		if !in[i] && (allowed == nil || allowed(i)) {
+			in[i] = true
 			stack = append(stack, i)
 		}
 	}
@@ -240,13 +261,13 @@ func (g *Graph[S]) FairLassoWithin(allowed func(int) bool, fair Fairness, numAct
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range g.edges[i] {
-			if allowed(e.To) && !inH[e.To] {
-				inH[e.To] = true
+			if !in[e.To] && (allowed == nil || allowed(e.To)) {
+				in[e.To] = true
 				stack = append(stack, e.To)
 			}
 		}
 	}
-	return g.fairCycleWithin(inH, fair, numActors)
+	return in
 }
 
 // fairCycleWithin finds a fair cycle entirely inside the state set inH.

@@ -85,6 +85,42 @@ func TestCheckInvariant(t *testing.T) {
 	}
 }
 
+func TestReachableWithin(t *testing.T) {
+	g, err := Explore[int](chainSys{n: 5}, ExploreOptions{})
+	if err != nil {
+		t.Fatalf("Explore: %v", err)
+	}
+	id := func(s int) int {
+		i, _ := g.StateID(s)
+		return i
+	}
+	cases := []struct {
+		desc    string
+		roots   []int
+		allowed func(int) bool
+		want    []int
+	}{
+		{"root=2,allowed=all", []int{id(2)}, nil, []int{2, 3, 4, 5}},
+		{"root=0,allowed=<4", []int{id(0)}, func(i int) bool { return g.State(i) < 4 }, []int{0, 1, 2, 3}},
+		{"root=4,allowed=<4", []int{id(4)}, func(i int) bool { return g.State(i) < 4 }, nil},
+		{"roots=1+3,allowed=odd", []int{id(1), id(3)}, func(i int) bool { return g.State(i)%2 == 1 }, []int{1, 3}},
+	}
+	for _, c := range cases {
+		t.Run(c.desc, func(t *testing.T) {
+			in := g.ReachableWithin(c.roots, c.allowed)
+			var got []int
+			for i, ok := range in {
+				if ok {
+					got = append(got, g.State(i))
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Fatalf("reached %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
 // diamondSys branches from 0 to terminal decisions: 0 -> 1 (decides 0),
 // 0 -> 2 -> {3 decides 0, 4 decides 1}.
 type diamondSys struct{}
@@ -124,7 +160,7 @@ func TestValenceDiamond(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	v, err := g.Valence(diamondDecide)
+	v, err := g.Valence(func(i int) (int, bool) { return diamondDecide(g.State(i)) })
 	if err != nil {
 		t.Fatalf("Valence: %v", err)
 	}
@@ -163,7 +199,7 @@ func TestValenceRejectsOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	if _, err := g.Valence(func(s int) (int, bool) { return 99, s == 1 }); err == nil {
+	if _, err := g.Valence(func(i int) (int, bool) { return 99, g.State(i) == 1 }); err == nil {
 		t.Fatal("expected error for value >= MaxDecisionValues")
 	}
 }

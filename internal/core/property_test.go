@@ -56,7 +56,7 @@ func TestValenceMonotoneProperty(t *testing.T) {
 			v, ok := decided[s]
 			return v, ok
 		}
-		val, err := g.Valence(decide)
+		val, err := g.Valence(func(i int) (int, bool) { return decide(g.State(i)) })
 		if err != nil {
 			return false
 		}

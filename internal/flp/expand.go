@@ -72,24 +72,11 @@ func (s *system) ExpandInto(c config, x *engine.Ctx[config]) {
 		sc = &expandScratch{}
 		x.Sys = sc
 	}
-	i1 := strings.IndexByte(c, '\x1d')
-	if i1 < 0 {
-		s.expandSlow(c, x)
-		return
-	}
-	rest := c[i1+1:]
-	i2 := strings.IndexByte(rest, '\x1d')
-	if i2 < 0 {
-		s.expandSlow(c, x)
-		return
-	}
-	crashed, ok := parseCanonInt(c[:i1])
+	crashed, statesStr, msgsStr, ok := splitSections(c)
 	if !ok {
 		s.expandSlow(c, x)
 		return
 	}
-	statesStr := rest[:i2]
-	msgsStr := rest[i2+1:]
 	n := s.p.NumProcs()
 
 	sc.states = splitByte(sc.states[:0], statesStr, '\x1e')
@@ -209,6 +196,23 @@ func (s *system) expandSlow(c config, x *engine.Ctx[config]) {
 	for _, st := range s.Steps(c) {
 		x.Emit(st.To, st.Label, st.Actor)
 	}
+}
+
+// splitSections splits an encoded configuration into its crash mask and
+// its state and message sections. ok is false unless the mask is
+// canonical and both section separators are present.
+func splitSections(c config) (crashed int, states, msgs string, ok bool) {
+	i1 := strings.IndexByte(c, '\x1d')
+	if i1 < 0 {
+		return 0, "", "", false
+	}
+	rest := c[i1+1:]
+	i2 := strings.IndexByte(rest, '\x1d')
+	if i2 < 0 {
+		return 0, "", "", false
+	}
+	crashed, ok = parseCanonInt(c[:i1])
+	return crashed, rest[:i2], rest[i2+1:], ok
 }
 
 // splitByte appends the sep-separated substrings of s to dst. Unlike

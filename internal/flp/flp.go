@@ -13,6 +13,7 @@ package flp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -212,7 +213,8 @@ type Report struct {
 	// processes decided differently, with a witness execution.
 	AgreementViolated bool
 	AgreementWitness  core.Trace
-	// ValidityViolated reports a decided value that is not any input.
+	// ValidityViolated reports a configuration, reachable from a uniform
+	// input vector, that decides a value other than that input.
 	ValidityViolated bool
 	// NondecidingLasso is a weakly-fair infinite execution confined to
 	// undecided configurations, if one exists.
@@ -239,7 +241,11 @@ type Report struct {
 // AnalyzeOptions configures Analyze.
 type AnalyzeOptions struct {
 	// InputVectors are the initial input assignments to explore together
-	// (default: all binary vectors).
+	// (default: all binary vectors). Validity is checked from the uniform
+	// vectors among them (every process given the same input): every
+	// configuration reachable from one must decide that input, if it
+	// decides at all. A uniform vector missing from InputVectors adds no
+	// validity obligation.
 	InputVectors [][]int
 	// Resilience is the number of crash events the adversary may inject
 	// (default 1, per the FLP setting). Set to 0 to analyze the
@@ -250,13 +256,12 @@ type AnalyzeOptions struct {
 	// Parallelism is the exploration worker count (0 = GOMAXPROCS,
 	// 1 = sequential); the configuration graph is identical either way.
 	Parallelism int
-	// Stats, when non-nil, receives the telemetry of the main
-	// configuration-graph exploration (the uniform-vector validity
-	// explorations are not included).
+	// Stats, when non-nil, receives the telemetry of the
+	// configuration-graph exploration, the only one Analyze runs.
 	Stats *engine.Stats
-	// Canon, when non-nil, quotients every exploration (main and validity)
-	// by the given configuration symmetry — see PermutationCanon. Only
-	// process-relabeling symmetries are admissible here: the analysis
+	// Canon, when non-nil, quotients the exploration by the given
+	// configuration symmetry — see PermutationCanon. Only process-relabeling
+	// symmetries are admissible here: the analysis
 	// evaluates per-value predicates (validity pins the decided value), so
 	// a value-relabeling canon would corrupt the verdicts even where it is
 	// sound. Counts in the Report (States, Edges, BivalentConfigs) then
@@ -273,18 +278,18 @@ type AnalyzeOptions struct {
 	// additionally cross-checks the two on sampled configurations.
 	CanonBytes any
 	// VerifyAliasing, when > 0, enables the engine's buffer-aliasing
-	// falsifier on every exploration (every configuration whose
+	// falsifier on the exploration (every configuration whose
 	// fingerprint is ≡ 0 mod VerifyAliasing is re-expanded over poisoned
 	// scratch; 1 = all) and fails the analysis with
 	// engine.ErrAliasUnsound on divergence — see engine.Options.
 	VerifyAliasing int
 	// Independent, when non-nil, applies ample-set partial-order reduction
-	// to every exploration (main and validity) under the given independence
-	// relation — see DeliveryIndependence. The reduced graph preserves the
-	// boolean verdicts (bivalence, agreement, validity, deadlock, fair
-	// lasso) but not per-interleaving structure: States, Edges and
-	// BivalentConfigs then describe the reduced graph, and DeciderFound — a
-	// property of the full branching — is not meaningful under reduction.
+	// to the exploration under the given independence relation — see
+	// DeliveryIndependence. The reduced graph preserves the boolean
+	// verdicts (bivalence, agreement, validity, deadlock, fair lasso) but
+	// not per-interleaving structure: States, Edges and BivalentConfigs
+	// then describe the reduced graph, and DeciderFound — a property of the
+	// full branching — is not meaningful under reduction.
 	Independent func(string, engine.Action[string], engine.Action[string]) bool
 	// Visible marks the deliveries whose ordering the analyzer's predicates
 	// observe, keeping them out of proper ample sets — see
@@ -295,22 +300,21 @@ type AnalyzeOptions struct {
 	// with engine.ErrPORUnsound if a declared-independent pair of events
 	// does not commute there.
 	VerifyPOR int
-	// Sink, when non-nil, streams the telemetry of the main
-	// configuration-graph exploration (like Stats, the uniform-vector
-	// validity explorations are excluded, so a trace carries exactly one
-	// run whose final snapshot equals the exploration's Stats).
+	// Sink, when non-nil, streams the telemetry of the
+	// configuration-graph exploration: a trace carries exactly one run,
+	// whose final snapshot equals the exploration's Stats.
 	Sink obs.Sink
 	// SnapshotEvery is the timer-driven snapshot period (only meaningful
 	// with Sink; zero = engine.DefaultSnapshotEvery, negative = barrier
 	// events only).
 	SnapshotEvery time.Duration
-	// Store selects the visited-set backend for every exploration (main and
-	// validity). A lossy backend sets Report.Lossy and downgrades the
-	// verdicts — see Report.Lossy. See store.Config.
+	// Store selects the visited-set backend for the exploration. A lossy
+	// backend sets Report.Lossy and downgrades the verdicts — see
+	// Report.Lossy. See store.Config.
 	Store store.Config
-	// Sched selects the exploration scheduler for every exploration
-	// ("barrier" or "steal"; "" = barrier). A performance knob only: the
-	// Report is identical either way. See core.ExploreOptions.Sched.
+	// Sched selects the exploration scheduler ("barrier" or "steal";
+	// "" = barrier). A performance knob only: the Report is identical
+	// either way. See core.ExploreOptions.Sched.
 	Sched string
 }
 
@@ -360,16 +364,12 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	}
 	rep := Report{Protocol: p.Name(), States: g.Len(), Edges: g.NumEdges(), Lossy: opts.Store.Lossy()}
 
-	decideConfig := func(c config) (int, bool) {
-		_, states, _ := decodeConfig(c)
-		for q := 0; q < n; q++ {
-			if v, ok := p.Decide(q, states[q]); ok {
-				return v, true
-			}
-		}
-		return 0, false
+	dec, conflict, err := labelDecisions(p, g)
+	if err != nil {
+		return rep, fmt.Errorf("flp: valence of %s: %w", p.Name(), err)
 	}
-	val, err := g.Valence(decideConfig)
+	undecided := func(i int) bool { return dec[i] < 0 }
+	val, err := g.Valence(func(i int) (int, bool) { return int(dec[i]), dec[i] >= 0 })
 	if err != nil {
 		return rep, fmt.Errorf("flp: valence of %s: %w", p.Name(), err)
 	}
@@ -382,70 +382,44 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	_, rep.DeciderFound = g.Decider(val)
 
 	// Agreement: no reachable configuration with contradictory decisions.
-	if _, tr, ok := g.CheckInvariant(func(c config) bool {
-		_, states, _ := decodeConfig(c)
-		seen := -1
-		for q := 0; q < n; q++ {
-			if v, ok := p.Decide(q, states[q]); ok {
-				if seen >= 0 && v != seen {
-					return false
-				}
-				seen = v
-			}
-		}
-		return true
-	}); !ok {
+	if conflict >= 0 {
 		rep.AgreementViolated = true
-		rep.AgreementWitness = tr
+		rep.AgreementWitness = g.PathTo(conflict)
 	}
 
-	// Validity (binary inputs): a decided value must be 0 or 1 here, and
-	// under a uniform input vector it must be that value. Checked by
-	// exploring the uniform vectors separately.
-	for _, v := range []int{0, 1} {
-		uniform := make([]int, n)
-		for i := range uniform {
-			uniform[i] = v
+	// Validity: every configuration reachable from a uniform initial
+	// configuration decides that configuration's value. Reaching inside g
+	// is sound under Canon, because a uniform initial is a fixed point of
+	// every process relabeling, and under POR, because every cycle of the
+	// sub-graph is a cycle of g and so keeps a fully expanded configuration.
+	inits := g.Initials()
+	for _, in := range vectors {
+		v := in[0]
+		if slices.ContainsFunc(in, func(x int) bool { return x != v }) {
+			continue
 		}
-		guOpts := core.ExploreOptions{
-			MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Store: opts.Store,
-			VerifyAliasing: opts.VerifyAliasing, Sched: opts.Sched,
-		}
+		c := sys.initialFor(in)
 		if opts.Canon != nil {
-			// Uniform-vector initials are fixed points of any process
-			// relabeling, so the quotient is sound here too.
-			guOpts.Canon = opts.Canon
-			guOpts.VerifyCanon = opts.VerifyCanon
-			guOpts.CanonBytes = opts.CanonBytes
+			c = opts.Canon(c)
 		}
-		if opts.Independent != nil {
-			guOpts.Independent = opts.Independent
-			guOpts.Visible = opts.Visible
-			guOpts.VerifyPOR = opts.VerifyPOR
+		k := slices.IndexFunc(inits, func(i int) bool { return g.State(i) == c })
+		if k < 0 {
+			continue
 		}
-		gu, err := core.Explore[config](&system{p: p, inputVectors: [][]int{uniform}, resilience: resilience},
-			guOpts)
-		if err != nil {
-			return rep, fmt.Errorf("flp: validity exploration of %s: %w", p.Name(), err)
-		}
-		if _, _, ok := gu.CheckInvariant(func(c config) bool {
-			d, decided := decideConfig(c)
-			return !decided || d == v
-		}); !ok {
-			rep.ValidityViolated = true
+		for i, reached := range g.ReachableWithin(inits[k:k+1], nil) {
+			if reached && dec[i] >= 0 && int(dec[i]) != v {
+				rep.ValidityViolated = true
+				break
+			}
 		}
 	}
 
 	// Liveness horns: a fair undecided lasso, or an undecided deadlock.
-	undecided := func(i int) bool {
-		_, decided := decideConfig(g.State(i))
-		return !decided
-	}
 	if lasso, ok := g.FairLassoWithin(undecided, core.WeakFairness, n); ok {
 		rep.NondecidingLasso = &lasso
 	}
-	for _, i := range g.Terminals() {
-		if undecided(i) {
+	for i := 0; i < g.Len(); i++ {
+		if undecided(i) && g.IsTerminal(i) {
 			rep.HasDeadlock = true
 			rep.UndecidedDeadlock = g.PathTo(i)
 			break
