@@ -33,15 +33,14 @@ func poisonScratch[S comparable](ws *worker[S]) {
 
 // checkAliasing re-expands s after poisoning the reusable scratch buffers
 // and compares the emitted (successor, label, actor) sequence against the
-// transitions just recorded in the worker's arena at sp. Successors are
+// transitions just recorded in the worker's record at sp. Successors are
 // resolved by Probe — the recorded pass interned every one of them, so a
-// missing probe is itself a divergence. Runs on the worker's own Ctx so
-// the system's retained scratch (Ctx.Sys) is reused, exactly as it will be
-// on the next real expansion.
+// missing probe (to=-1) is itself a divergence. Runs on the worker's own
+// Ctx so the system's retained scratch (Ctx.Sys) is reused, exactly as it
+// will be on the next real expansion.
 func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 	poisonScratch(ws)
 	got := ws.aliasBuf[:0]
-	missing := false
 	x := &ws.ctx
 	x.sink = func(to S, label string, actor int) {
 		if e.canon != nil {
@@ -49,24 +48,25 @@ func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 		}
 		tid, ok := e.store.Probe(to)
 		if !ok {
-			missing = true
 			tid = -1
 		}
-		got = append(got, rawEdge{to: tid, actor: int32(actor), label: label})
+		got = append(got, rawEdge{to: tid, actor: int32(actor), label: ws.labelID(label)})
 	}
 	e.expand(s, x)
 	x.sink = nil
 	ws.aliasBuf = got
-	want := ws.arena[sp.off : sp.off+sp.n]
-	if missing || len(got) != len(want) {
+	var buf []rawEdge
+	want := e.chunkEdges(sp, &buf)
+	if len(got) != len(want) {
 		e.noteVerifyErr(fmt.Errorf("%w: state %v emitted %d transitions on poisoned re-expansion, want %d (system retains emitted or scratch buffers?)",
 			ErrAliasUnsound, s, len(got), len(want)))
 		return
 	}
 	for i := range want {
 		if got[i] != want[i] {
+			lt := &e.labels
 			e.noteVerifyErr(fmt.Errorf("%w: state %v transition %d diverged on poisoned re-expansion: got (to=%d label=%q actor=%d), want (to=%d label=%q actor=%d)",
-				ErrAliasUnsound, s, i, got[i].to, got[i].label, got[i].actor, want[i].to, want[i].label, want[i].actor))
+				ErrAliasUnsound, s, i, got[i].to, lt.text(got[i].label), got[i].actor, want[i].to, lt.text(want[i].label), want[i].actor))
 			return
 		}
 	}
@@ -74,7 +74,7 @@ func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 
 // checkAliasingPOR is checkAliasing for the partial-order-reduced path: it
 // compares against the full collected action set (ws.acts, before ample
-// selection), since the arena only records the ample subset.
+// selection), since the record only holds the ample subset.
 func (e *explorer[S]) checkAliasingPOR(s S, ws *worker[S]) {
 	poisonScratch(ws)
 	got := ws.aliasActs[:0]

@@ -23,8 +23,9 @@ import (
 //     Conversely the system must NOT retain them either — the engine may
 //     hand the same backing array back as Scratch later.
 //   - Strings passed to Emit/Label are immutable Go strings and may be
-//     retained by the engine indefinitely (they land in Result.Edges), so
-//     systems must not build them over reused backing arrays via unsafe.
+//     retained by the engine indefinitely (they key the run's label table
+//     and land in Result.Edges), so systems must not build them over
+//     reused backing arrays via unsafe.
 type Ctx[S comparable] struct {
 	// Scratch is a reusable byte buffer owned by the expanding worker.
 	// Systems may slice, grow and overwrite it freely during one expansion
@@ -78,7 +79,7 @@ func (x *Ctx[S]) Emit(to S, label string, actor int) {
 	if !fresh {
 		ws.dedup++
 	}
-	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
+	ws.appendEdge(tid, actor, label)
 }
 
 // emitSampled is Emit's fine-profiled twin (sink already known nil):
@@ -103,7 +104,7 @@ func (x *Ctx[S]) emitSampled(to S, label string, actor int) {
 	if !fresh {
 		ws.dedup++
 	}
-	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
+	ws.appendEdge(tid, actor, label)
 }
 
 // EmitBytes is Emit for string-typed states handed over as raw encoded
@@ -148,7 +149,7 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 					ws.canonHits++
 				}
 				ws.dedup++
-				ws.arena = append(ws.arena, rawEdge{to: ent.id, actor: int32(actor), label: label})
+				ws.appendEdge(ent.id, actor, label)
 				return
 			}
 		}
@@ -186,7 +187,7 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 			ws.canonMemo = make(map[string]canonMemoEntry)
 		}
 		ws.canonMemo[rawKey] = canonMemoEntry{id: tid, remapped: remapped}
-		ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
+		ws.appendEdge(tid, actor, label)
 		return
 	}
 	h := e.hashB(to)
@@ -198,7 +199,7 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 	if !fresh {
 		ws.dedup++
 	}
-	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
+	ws.appendEdge(tid, actor, label)
 }
 
 // emitBytesSampled is the direct path of EmitBytes (sink known nil,
@@ -222,7 +223,7 @@ func (x *Ctx[S]) emitBytesSampled(to []byte, label string, actor int) {
 					ws.canonHits++
 				}
 				ws.dedup++
-				ws.arena = append(ws.arena, rawEdge{to: ent.id, actor: int32(actor), label: label})
+				ws.appendEdge(ent.id, actor, label)
 				return
 			}
 		}
@@ -259,7 +260,7 @@ func (x *Ctx[S]) emitBytesSampled(to []byte, label string, actor int) {
 			ws.canonMemo = make(map[string]canonMemoEntry)
 		}
 		ws.canonMemo[rawKey] = canonMemoEntry{id: tid, remapped: remapped}
-		ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
+		ws.appendEdge(tid, actor, label)
 		return
 	}
 	it := time.Now()
@@ -274,7 +275,7 @@ func (x *Ctx[S]) emitBytesSampled(to []byte, label string, actor int) {
 	if !fresh {
 		ws.dedup++
 	}
-	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
+	ws.appendEdge(tid, actor, label)
 }
 
 // Label interns a label string built in a scratch buffer: the first

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/store"
@@ -190,6 +191,50 @@ func TestVerifyAliasingCatchesRetainedBuffer(t *testing.T) {
 	_, err := Explore([]string{"a"}, r.expand, Options{Parallelism: 1, VerifyAliasing: 1, MaxStates: 100})
 	if !errors.Is(err, ErrAliasUnsound) {
 		t.Fatalf("buffer-retaining system: err = %v, want ErrAliasUnsound", err)
+	}
+	if !strings.Contains(err.Error(), `label="step"`) {
+		t.Fatalf("falsifier message does not name the transition's label: %v", err)
+	}
+}
+
+// relabelingExpand is not a pure function of its state: every expansion
+// of "a" emits the same successor under a fresh label, so a poisoned
+// re-expansion diverges on the label alone.
+type relabelingExpand struct {
+	calls atomic.Int64
+}
+
+func (r *relabelingExpand) expand(s string, x *Ctx[string]) {
+	if s == "a" {
+		x.Emit("b", fmt.Sprintf("tick%d", r.calls.Add(1)), 0)
+	}
+}
+
+// TestVerifyAliasingNamesLabels checks that a label divergence is reported
+// with both label strings — resolved from the run's label table on the
+// full path, straight from the collected actions on the POR path — not
+// with the record's label ids.
+func TestVerifyAliasingNamesLabels(t *testing.T) {
+	indep := func(string, Action[string], Action[string]) bool { return true }
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"full", Options{}},
+		{"por", Options{Independent: indep}},
+	} {
+		r := &relabelingExpand{}
+		opts := tc.opts
+		opts.Parallelism, opts.VerifyAliasing = 1, 1
+		_, err := Explore([]string{"a"}, r.expand, opts)
+		if !errors.Is(err, ErrAliasUnsound) {
+			t.Fatalf("%s: relabeling system: err = %v, want ErrAliasUnsound", tc.name, err)
+		}
+		for _, want := range []string{`label="tick2"`, `label="tick1"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: falsifier message lacks %s: %v", tc.name, want, err)
+			}
+		}
 	}
 }
 

@@ -198,29 +198,22 @@ type Result[S comparable] struct {
 	Stats Stats
 }
 
-// rawEdge is the provisional-id form of a transition, recorded by workers
-// during the parallel phase and rewritten by the canonicalization replay.
-type rawEdge struct {
-	to    int32
-	actor int32
-	label string
-}
-
-// span locates one state's recorded successors inside its expanding
-// worker's arena.
-type span struct {
-	worker int32
-	off    int32
-	n      int32
-}
-
-// worker holds one worker's private exploration storage. arena is only
-// ever touched by its owner during a level and by the coordinator between
-// levels, so none of it needs locking.
+// worker holds one worker's private exploration storage. The successor
+// record is only ever appended to by its owner and read by the
+// coordinator after the workers join, so none of it needs locking.
 type worker[S comparable] struct {
-	// arena accumulates rawEdges; spans index into it by offset, so append
-	// growth is safe.
-	arena []rawEdge
+	// chunks is the worker's successor record: full-length chunks of
+	// edgeChunkCap rawEdges, allocated on the first append that needs one
+	// (a worker that records nothing allocates none). cur aliases the last
+	// chunk; edges is the global offset of the next append, so spans index
+	// across chunks.
+	chunks [][]rawEdge
+	cur    []rawEdge
+	edges  int32
+	// labels is the run's label table; labelIDs caches the ids this
+	// worker has already resolved.
+	labels   *labelTable
+	labelIDs map[string]int32
 	// steps counts states expanded by this worker over the whole run. It
 	// is atomic — single-writer (the owner), read live by the telemetry
 	// monitor goroutine for per-worker utilization snapshots.
@@ -264,9 +257,9 @@ type worker[S comparable] struct {
 	// aliasBuf and aliasActs are the VerifyAliasing re-expansion buffers.
 	aliasBuf  []rawEdge
 	aliasActs []Action[S]
-	// sw is the worker's free-running-scheduler state (deques, chunked
-	// edge arena, handoff channels); nil outside Sched == "steal"
-	// free-running runs. See sched_steal.go.
+	// sw is the worker's free-running-scheduler state (deques, handoff
+	// channels); nil outside Sched == "steal" free-running runs. See
+	// sched_steal.go.
 	sw *stealWorker[S]
 	// prof is the worker's phase-attribution profile; nil when profiling
 	// is off (no Stats out-param and no Sink). profSampling marks the
@@ -342,19 +335,18 @@ type explorer[S comparable] struct {
 	verifyErr error
 	verifySet atomic.Bool
 
-	// spans and expanded are indexed by provisional id. They are only
-	// appended to between level barriers; during a level, workers write
-	// spans/expanded at the distinct indices they own. (The id -> state
-	// payloads live in the store.)
-	spans    []span
-	expanded []bool
+	// pspans records, per provisional id, where the expanding worker put
+	// its successors. Workers write it concurrently at the distinct ids
+	// they expand; it is read after they join. (The id -> state payloads
+	// live in the store.)
+	pspans *pagedSpans
+	// labels is the run's label alphabet (see labelTable).
+	labels labelTable
 
 	// steal is non-nil while the free-running work-stealing discovery
 	// phase is live (plus its sequential completion pass): the Ctx emit
-	// paths branch to it. pspans then replaces spans/expanded. See
-	// sched_steal.go.
-	steal  atomic.Pointer[stealRun[S]]
-	pspans *pagedSpans
+	// paths branch to it. See sched_steal.go.
+	steal atomic.Pointer[stealRun[S]]
 
 	// profStoreIO and profReplay are the coordinator-only phase counters
 	// (store maintenance between levels, the sequential replay pass);
@@ -387,7 +379,7 @@ func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
 }
 
 // expandRange expands provisional ids [lo, hi) claimed in chunks from
-// cursor, writing successors into worker w's arena.
+// cursor, recording successors into worker w's chunked record.
 func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk int) {
 	ws := e.workers[w]
 	x := &ws.ctx
@@ -408,7 +400,7 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 			end = hi
 		}
 		for id := lo; id < end; id++ {
-			off := int32(len(ws.arena))
+			off := ws.edges
 			s := e.store.State(int32(id))
 			if prof != nil && id&profSampleMask == 0 {
 				ws.profSampling = true
@@ -419,9 +411,8 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 			} else {
 				e.expand(s, x)
 			}
-			sp := span{worker: w, off: off, n: int32(len(ws.arena)) - off}
-			e.spans[id] = sp
-			e.expanded[id] = true
+			sp := span{worker: w, off: off, n: ws.edges - off}
+			e.pspans.set(int32(id), sp, 0)
 			ws.steps.Add(1)
 			// fpOfID re-fetches the state off the hot path: fp(&s) inline
 			// would make escape analysis heap-box s on every iteration,
@@ -506,7 +497,7 @@ func (e *explorer[S]) expandRangePOR(w int32, cursor *atomic.Int64, hi int, chun
 				ws.uf = growTo(ws.uf[:0], len(acts))
 				ample = e.ampleSet(s, acts, ws.uf, hi)
 			}
-			off := int32(len(ws.arena))
+			off := ws.edges
 			record := func(pa porAction[S]) {
 				var tid int32
 				var fresh bool
@@ -520,7 +511,7 @@ func (e *explorer[S]) expandRangePOR(w int32, cursor *atomic.Int64, hi int, chun
 				if !fresh {
 					ws.dedup++
 				}
-				ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(pa.act.Actor), label: pa.act.Label})
+				ws.appendEdge(tid, pa.act.Actor, pa.act.Label)
 			}
 			if ample != nil {
 				ws.ampleStates++
@@ -533,8 +524,7 @@ func (e *explorer[S]) expandRangePOR(w int32, cursor *atomic.Int64, hi int, chun
 					record(pa)
 				}
 			}
-			e.spans[id] = span{worker: w, off: off, n: int32(len(ws.arena)) - off}
-			e.expanded[id] = true
+			e.pspans.set(int32(id), span{worker: w, off: off, n: ws.edges - off}, 0)
 			ws.steps.Add(1)
 			if ws.profSampling {
 				prof.noteSample(time.Since(sampleT))
@@ -638,9 +628,15 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		}
 	}
 
+	// Free-running discovery (work-stealing scheduler without POR or a
+	// spill store) replaces the level loop; its levelization also needs the
+	// per-state canonicalizer-remap counts next to the spans.
+	freeMode := sched == "steal" && e.indep == nil && opts.Store.ResolvedKind() != store.Spill
+	e.pspans = newPagedSpans(freeMode && e.canon != nil)
+	e.labels.ids = make(map[string]int32)
 	e.workers = make([]*worker[S], nw)
 	for i := range e.workers {
-		ws := &worker[S]{}
+		ws := &worker[S]{labels: &e.labels, labelIDs: make(map[string]int32)}
 		if e.canon != nil {
 			ws.rawSeen = make(map[uint64]struct{})
 		}
@@ -718,11 +714,10 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		defer e.tel.stopMonitor()
 	}
 
-	// Parallel phase. Free-running discovery (work-stealing scheduler
-	// without POR or a spill store) replaces the level loop entirely; the
-	// barrier scheduler — and the steal scheduler's epoch submode, which
-	// only swaps the per-level fan-out for a persistent pool — expand
-	// whole BFS levels between barriers. The level granularity is what
+	// Parallel phase. Free-running discovery replaces the level loop
+	// entirely; the barrier scheduler — and the steal scheduler's epoch
+	// submode, which only swaps the per-level fan-out for a persistent
+	// pool — expand whole BFS levels between barriers. The level granularity is what
 	// keeps truncation canonical — if the state count crosses the limit,
 	// every state the sequential explorer would have expanded before
 	// failing has already been expanded here (the overshoot is at most one
@@ -731,7 +726,6 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	var st Stats
 	st.Workers = nw
 	st.Sched = sched
-	freeMode := sched == "steal" && e.indep == nil && opts.Store.ResolvedKind() != store.Spill
 	if freeMode {
 		if err := e.exploreFree(&st, inits, initIDs, limit, nw); err != nil {
 			return nil, err
@@ -760,8 +754,6 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 			defer shutdown()
 		}
 		lo, hi := 0, e.store.Len()
-		e.spans = growTo(e.spans, hi)
-		e.expanded = growTo(e.expanded, hi)
 		for lo < hi {
 			frontier := hi - lo
 			if frontier > st.PeakFrontier {
@@ -783,8 +775,6 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 			// during this level (the barrier's happens-before makes the
 			// payloads readable by id from any worker next level).
 			total := e.store.Len()
-			e.spans = growTo(e.spans, total)
-			e.expanded = growTo(e.expanded, total)
 			lo, hi = hi, total
 			// Budget maintenance runs at the barrier, while the workers are
 			// quiescent: the store may spill payloads below the next frontier
@@ -891,12 +881,10 @@ func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
 	// once), so append never reallocates and the carved views stay valid.
 	var rawTotal int
 	for _, ws := range e.workers {
-		rawTotal += len(ws.arena)
-		if ws.sw != nil {
-			rawTotal += int(ws.sw.edges)
-		}
+		rawTotal += int(ws.edges)
 	}
 	edgeArena := make([]Edge, 0, rawTotal)
+	labels := e.labels.strs
 	intern := func(pid int32) (int, bool) {
 		if c := canon[pid]; c >= 0 {
 			return int(c), false
@@ -919,32 +907,26 @@ func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
 	for head := 0; head < len(queue); head++ {
 		pid := queue[head]
 		cid := int(canon[pid])
-		if !e.isExpanded(pid) {
+		sp, _ := e.pspans.get(pid)
+		if sp.worker < 0 {
 			// Unreachable: the level-granular cutoff guarantees the limit
 			// fires (below) before any unexpanded state is dequeued.
 			return res, fmt.Errorf("engine: internal error: state %d dequeued without recorded successors", cid)
 		}
-		var raw []rawEdge
-		if e.pspans != nil {
-			sp, _ := e.pspans.get(pid)
-			raw = e.chunkEdges(sp, &crossBuf)
-		} else {
-			sp := e.spans[pid]
-			raw = e.workers[sp.worker].arena[sp.off : sp.off+sp.n]
-		}
 		start := len(edgeArena)
-		for _, r := range raw {
+		for _, r := range e.chunkEdges(sp, &crossBuf) {
 			tc, fresh := intern(r.to)
+			edge := Edge{To: tc, Label: labels[r.label], Actor: int(r.actor)}
 			if fresh {
 				if len(res.States) > limit {
 					res.Truncated = true
 					return res, fmt.Errorf("%w: limit %d", ErrStateLimit, limit)
 				}
 				res.Parents[tc] = cid
-				res.ParentEdges[tc] = Edge{To: tc, Label: r.label, Actor: int(r.actor)}
+				res.ParentEdges[tc] = edge
 				queue = append(queue, r.to)
 			}
-			edgeArena = append(edgeArena, Edge{To: tc, Label: r.label, Actor: int(r.actor)})
+			edgeArena = append(edgeArena, edge)
 		}
 		res.Edges[cid] = edgeArena[start:len(edgeArena):len(edgeArena)]
 	}

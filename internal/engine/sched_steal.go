@@ -61,122 +61,13 @@ const (
 	// batch fills (or the sender runs out of local work and flushes), so a
 	// channel transfer amortizes over up to this many states.
 	handoffBatchCap = 256
-	// edgeChunkBits sizes the per-worker edge arena chunks (2^16 rawEdges).
-	// Chunks are fixed-capacity and never reallocate, so a *int32 into a
-	// chunk's "to" field stays valid for the whole run — that is what lets
-	// an emitter record an edge immediately and have the owning worker
-	// resolve the successor id through the pointer later.
-	edgeChunkBits = 16
-	edgeChunkCap  = 1 << edgeChunkBits
 	// stealBatch caps how many deque entries one steal transfers.
 	stealBatch = 64
 	// privCap is the soft bound on a worker's private (unlocked) work
 	// stack; overflow publishes the oldest half to the lockable deque where
 	// peers can steal it.
 	privCap = 256
-	// spanPageBits sizes pagedSpans pages (2^13 spans per page).
-	spanPageBits = 13
-	spanPageCap  = 1 << spanPageBits
 )
-
-// spanPage is one pagedSpans page: the spans of spanPageCap consecutive
-// provisional ids, plus (under a canonicalizer) the per-state count of
-// canonicalizer remaps its expansion performed — the levelized telemetry
-// synthesis needs that count per level, and the expander is the only one
-// who knows it.
-type spanPage struct {
-	sp []span
-	cd []int32
-}
-
-// pagedSpans is the free-running scheduler's replacement for the
-// explorer's flat spans/expanded slices: a two-level paged table workers
-// can write concurrently at distinct ids without barriers. Pages are
-// created under a mutex and published atomically (the pagetab pattern);
-// span writes within a page go to distinct indices (each id is expanded by
-// exactly one worker) and are read only after the termination join, whose
-// happens-before edge covers them. A span with worker == -1 marks an
-// unexpanded id.
-type pagedSpans struct {
-	mu    sync.Mutex
-	spine atomic.Pointer[[]atomic.Pointer[spanPage]]
-	canon bool
-}
-
-func newPagedSpans(canon bool) *pagedSpans {
-	ps := &pagedSpans{canon: canon}
-	spine := make([]atomic.Pointer[spanPage], 0)
-	ps.spine.Store(&spine)
-	return ps
-}
-
-// page returns the page holding id index pi, creating and publishing it if
-// needed.
-func (ps *pagedSpans) page(pi int) *spanPage {
-	spine := *ps.spine.Load()
-	if pi < len(spine) {
-		if pg := spine[pi].Load(); pg != nil {
-			return pg
-		}
-	}
-	return ps.grow(pi)
-}
-
-func (ps *pagedSpans) grow(pi int) *spanPage {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	spine := *ps.spine.Load()
-	if pi >= len(spine) {
-		next := make([]atomic.Pointer[spanPage], 2*pi+2)
-		for i := range spine {
-			next[i].Store(spine[i].Load())
-		}
-		ps.spine.Store(&next)
-		spine = next
-	}
-	if pg := spine[pi].Load(); pg != nil {
-		return pg
-	}
-	pg := &spanPage{sp: make([]span, spanPageCap)}
-	for i := range pg.sp {
-		pg.sp[i].worker = -1
-	}
-	if ps.canon {
-		pg.cd = make([]int32, spanPageCap)
-	}
-	spine[pi].Store(pg)
-	return pg
-}
-
-func (ps *pagedSpans) set(id int32, sp span, cdelta int32) {
-	pg := ps.page(int(id) >> spanPageBits)
-	i := int(id) & (spanPageCap - 1)
-	pg.sp[i] = sp
-	if pg.cd != nil {
-		pg.cd[i] = cdelta
-	}
-}
-
-// get returns the recorded span and canon-remap delta of id; a span with
-// worker == -1 (also returned for ids whose page was never created) means
-// the id was interned but not expanded.
-func (ps *pagedSpans) get(id int32) (span, int32) {
-	spine := *ps.spine.Load()
-	pi := int(id) >> spanPageBits
-	if pi >= len(spine) {
-		return span{worker: -1}, 0
-	}
-	pg := spine[pi].Load()
-	if pg == nil {
-		return span{worker: -1}, 0
-	}
-	i := int(id) & (spanPageCap - 1)
-	var cd int32
-	if pg.cd != nil {
-		cd = pg.cd[i]
-	}
-	return pg.sp[i], cd
-}
 
 // capturedEmit is one emission's scheduling-independent signature — the
 // fingerprint of the canonical successor, the label, and the actor — used
@@ -189,7 +80,7 @@ type capturedEmit struct {
 }
 
 // handoffEnt is one forwarded emission: the successor's fingerprint, the
-// arena slot the owner writes the resolved id into, and the state payload
+// record slot the owner writes the resolved id into, and the state payload
 // (either s, or — for the EmitBytes path — the blo:bhi byte range of the
 // batch's buf; blo < 0 selects s).
 type handoffEnt[S comparable] struct {
@@ -223,13 +114,6 @@ type stealWorker[S comparable] struct {
 	dq    []int32
 	head  int
 	dqLen atomic.Int64
-
-	// chunks is the worker's edge arena as fixed-capacity chunks (see
-	// edgeChunkBits); cur aliases chunks[len(chunks)-1]. edges is the
-	// global offset of the next append, so spans index across chunks.
-	chunks [][]rawEdge
-	cur    []rawEdge
-	edges  int32
 
 	// out[d] is the partial batch being assembled for worker d; inbox
 	// receives batches from peers; free recycles this worker's batches
@@ -291,21 +175,6 @@ func (sw *stealWorker[S]) popShared() (int32, bool) {
 	sw.mu.Unlock()
 	sw.dqLen.Add(-1)
 	return id, true
-}
-
-// appendEdge records one rawEdge in the chunked arena and returns a stable
-// pointer to its "to" field (chunks never reallocate, so the pointer stays
-// valid; the owning worker writes the resolved id through it for forwarded
-// emissions).
-func (sw *stealWorker[S]) appendEdge(r rawEdge) *int32 {
-	if len(sw.cur) == edgeChunkCap {
-		sw.cur = make([]rawEdge, 0, edgeChunkCap)
-		sw.chunks = append(sw.chunks, sw.cur)
-	}
-	sw.cur = append(sw.cur, r)
-	sw.chunks[len(sw.chunks)-1] = sw.cur
-	sw.edges++
-	return &sw.cur[len(sw.cur)-1].to
 }
 
 // stealRun is the shared state of one free-running discovery phase.
@@ -386,7 +255,7 @@ func (sr *stealRun[S]) sendBatch(w *worker[S], dst int32, b *handoffBatch[S]) {
 }
 
 // processBatch interns every forwarded emission of b (this worker owns all
-// their shards), resolves their arena slots, queues the fresh ones, and
+// their shards), resolves their record slots, queues the fresh ones, and
 // recycles the batch to its sender. Releasing the batch's termination
 // token is the last step, so a batch never "disappears" from the count
 // while its states are unresolved.
@@ -535,7 +404,7 @@ func (sr *stealRun[S]) idle(w *worker[S]) bool {
 func (sr *stealRun[S]) expandOne(w *worker[S], id int32) {
 	e := sr.e
 	sw := w.sw
-	off := sw.edges
+	off := w.edges
 	s := e.store.State(id)
 	sampled := e.aliasMod != 0 && e.fpOfID(id)%e.aliasMod == 0
 	if sampled {
@@ -562,7 +431,7 @@ func (sr *stealRun[S]) expandOne(w *worker[S], id int32) {
 	if e.canon != nil {
 		cd = int32(w.canonHits - before)
 	}
-	e.pspans.set(id, span{worker: sw.self, off: off, n: sw.edges - off}, cd)
+	e.pspans.set(id, span{worker: sw.self, off: off, n: w.edges - off}, cd)
 	w.steps.Add(1)
 	if sampled {
 		sr.checkAliasingSteal(s, w)
@@ -582,7 +451,7 @@ func (sr *stealRun[S]) emitState(w *worker[S], to S, label string, actor int) {
 	}
 	if sr.seq {
 		id, _ := e.store.Intern(to)
-		sw.appendEdge(rawEdge{to: id, actor: int32(actor), label: label})
+		w.appendEdge(id, actor, label)
 		return
 	}
 	owner := int32(h&sr.ownMask) % sr.nw
@@ -594,13 +463,13 @@ func (sr *stealRun[S]) emitState(w *worker[S], to S, label string, actor int) {
 		} else {
 			id, fresh = e.store.Intern(to)
 		}
-		sw.appendEdge(rawEdge{to: id, actor: int32(actor), label: label})
+		w.appendEdge(id, actor, label)
 		if fresh {
 			sw.pushWork(id)
 		}
 		return
 	}
-	slot := sw.appendEdge(rawEdge{to: -1, actor: int32(actor), label: label})
+	slot := w.appendEdge(-1, actor, label)
 	b := sw.out[owner]
 	if b == nil {
 		b = sr.getBatch(sw)
@@ -626,7 +495,7 @@ func (sr *stealRun[S]) emitBytes(w *worker[S], to []byte, h uint64, label string
 	}
 	if sr.seq {
 		id, _ := e.bytesIntern.InternBytes(h, to)
-		sw.appendEdge(rawEdge{to: id, actor: int32(actor), label: label})
+		w.appendEdge(id, actor, label)
 		return
 	}
 	owner := int32(h&sr.ownMask) % sr.nw
@@ -638,13 +507,13 @@ func (sr *stealRun[S]) emitBytes(w *worker[S], to []byte, h uint64, label string
 		} else {
 			id, fresh = e.bytesIntern.InternBytes(h, to)
 		}
-		sw.appendEdge(rawEdge{to: id, actor: int32(actor), label: label})
+		w.appendEdge(id, actor, label)
 		if fresh {
 			sw.pushWork(id)
 		}
 		return
 	}
-	slot := sw.appendEdge(rawEdge{to: -1, actor: int32(actor), label: label})
+	slot := w.appendEdge(-1, actor, label)
 	b := sw.out[owner]
 	if b == nil {
 		b = sr.getBatch(sw)
@@ -835,30 +704,6 @@ func (e *explorer[S]) levelize(sr *stealRun[S], initIDs []int32, limit int, cut 
 	return lv, nil
 }
 
-// edgeAt reads one rawEdge from a worker's chunked arena by global offset.
-func (e *explorer[S]) edgeAt(wk int32, off int32) rawEdge {
-	sw := e.workers[wk].sw
-	return sw.chunks[off>>edgeChunkBits][int(off)&(edgeChunkCap-1)]
-}
-
-// chunkEdges returns span sp's rawEdges: a direct chunk subslice when the
-// span does not straddle a chunk boundary (the common case), otherwise a
-// copy assembled in *buf.
-func (e *explorer[S]) chunkEdges(sp span, buf *[]rawEdge) []rawEdge {
-	chunks := e.workers[sp.worker].sw.chunks
-	ci := int(sp.off) >> edgeChunkBits
-	lo := int(sp.off) & (edgeChunkCap - 1)
-	if lo+int(sp.n) <= edgeChunkCap {
-		return chunks[ci][lo : lo+int(sp.n)]
-	}
-	b := (*buf)[:0]
-	for j := int32(0); j < sp.n; j++ {
-		b = append(b, e.edgeAt(sp.worker, sp.off+j))
-	}
-	*buf = b
-	return b
-}
-
 // recountCanon recomputes RawStates and CanonHits for a truncated
 // free-running canon run by re-expanding exactly the states the levelized
 // walk expanded (plus the raw initial states): the live worker counters
@@ -898,7 +743,6 @@ func (e *explorer[S]) exploreFree(st *Stats, rawInits []S, initIDs []int32, limi
 	if oi, ok := e.store.(store.OwnedInterner[S]); ok && oi.OwnedSupported() {
 		sr.owned = oi
 	}
-	e.pspans = newPagedSpans(e.canon != nil)
 	sr.ws = make([]*stealWorker[S], nw)
 	for i, w := range e.workers {
 		sw := &stealWorker[S]{
@@ -907,8 +751,6 @@ func (e *explorer[S]) exploreFree(st *Stats, rawInits []S, initIDs []int32, limi
 			free:  make(chan *handoffBatch[S], 4*nw),
 			out:   make([]*handoffBatch[S], nw),
 		}
-		sw.cur = make([]rawEdge, 0, edgeChunkCap)
-		sw.chunks = append(sw.chunks, sw.cur)
 		w.sw = sw
 		sr.ws[i] = sw
 	}
@@ -1054,16 +896,6 @@ func (e *explorer[S]) takeVerifyErr() error {
 	e.verifyMu.Lock()
 	defer e.verifyMu.Unlock()
 	return e.verifyErr
-}
-
-// isExpanded reports whether pid's successors were recorded, under either
-// span representation.
-func (e *explorer[S]) isExpanded(pid int32) bool {
-	if e.pspans != nil {
-		sp, _ := e.pspans.get(pid)
-		return sp.worker >= 0
-	}
-	return e.expanded[pid]
 }
 
 // epochPool is the steal scheduler's epoch submode: the level loop's

@@ -296,4 +296,18 @@ func TestStealVerifyAliasing(t *testing.T) {
 	if !errors.Is(err, ErrAliasUnsound) {
 		t.Fatalf("buffer-retaining system under steal: err = %v, want ErrAliasUnsound", err)
 	}
+	if !strings.Contains(err.Error(), `label="step"`) {
+		t.Fatalf("falsifier message does not name the transition's label: %v", err)
+	}
+	rl := &relabelingExpand{}
+	_, err = Explore([]string{"a"}, rl.expand,
+		Options{Sched: "steal", Parallelism: 1, VerifyAliasing: 1})
+	if !errors.Is(err, ErrAliasUnsound) {
+		t.Fatalf("relabeling system under steal: err = %v, want ErrAliasUnsound", err)
+	}
+	for _, want := range []string{`label="tick2"`, `label="tick1"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("steal falsifier message lacks %s: %v", want, err)
+		}
+	}
 }
