@@ -52,16 +52,8 @@ func run() int {
 		"visited-set backend: mem | spill | bitstate (bitstate is lossy: verdicts downgrade to \"no violation found\")")
 	maxStoreBytes := flag.Int64("max-store-bytes", 0,
 		"spill backend's resident-payload budget in bytes (0 = 256 MiB default)")
-	sched := flag.String("sched", "",
-		"exploration scheduler: barrier (default: per-level fork/join) | steal (persistent work-stealing pool); results are identical either way")
 	flag.Parse()
 
-	switch *sched {
-	case "", "barrier", "steal":
-	default:
-		fmt.Fprintf(os.Stderr, "bivalence: unknown -sched %q (want barrier or steal)\n", *sched)
-		return 2
-	}
 	storeCfg, err := store.ParseFlags(*storeKind, *maxStoreBytes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -89,7 +81,6 @@ func run() int {
 			"parallel":   strconv.Itoa(*parallel),
 			"por":        strconv.FormatBool(*usePOR),
 			"store":      string(storeCfg.ResolvedKind()),
-			"sched":      *sched,
 		},
 	})
 	if err != nil {
@@ -131,7 +122,7 @@ func run() int {
 	opts := flp.AnalyzeOptions{
 		Resilience: resilience, Parallelism: *parallel, Stats: st,
 		Sink: sink, SnapshotEvery: *snapshotEvery, Store: storeCfg,
-		VerifyAliasing: *verifyAliasing, Sched: *sched,
+		VerifyAliasing: *verifyAliasing,
 	}
 	if *usePOR {
 		opts.Independent = flp.DeliveryIndependence(p)

@@ -32,11 +32,13 @@ import (
 // gated by `hundred bench-compare` alongside throughput and determinism.
 // Again omitempty: v3 histories load as-is with the alloc gate inactive on
 // pre-v4 rows. Version 5 adds the scheduler axis: designated workloads
-// carry a full-mode worker-scaling sweep (states/sec under the steal
-// scheduler at 1/2/4/8 workers plus barrier baselines, with parallel
-// efficiency relative to the one-worker steal rate), so scheduler-layer
-// regressions show up as an efficiency drop `hundred bench-compare` warns
-// about. Omitempty again: pre-v5 rows simply carry no scaling points.
+// carry a full-mode worker-scaling sweep (states/sec at 1/2/4/8 workers,
+// with parallel efficiency relative to the one-worker rate), so
+// scheduler-layer regressions show up as an efficiency drop `hundred
+// bench-compare` warns about. Omitempty again: pre-v5 rows simply carry
+// no scaling points. Runs recorded while the engine also had a
+// work-stealing scheduler carry "steal" points next to barrier baselines
+// without an efficiency; they load unchanged and never gate anything.
 // Version 6 adds the attribution axis: per-row phase fractions of the
 // full-mode exploration (expand/barrier/store-I/O/replay shares of the
 // summed worker clock, plus the sampled canon/intern split), so a
@@ -104,8 +106,7 @@ type explorationBench struct {
 	AllocsPerState float64 `json:"allocs_per_state,omitempty"`
 	BytesPerState  float64 `json:"bytes_per_state,omitempty"`
 	// Scaling is the schema-v5 worker-scaling sweep of the full-mode
-	// exploration: the steal scheduler at each grid worker count plus
-	// barrier baselines at the endpoints. Only the designated scaling
+	// exploration at each grid worker count. Only the designated scaling
 	// workloads carry it (sweeping every workload would triple the suite's
 	// runtime for redundant curves).
 	Scaling []schedPoint `json:"scaling,omitempty"`
@@ -124,9 +125,6 @@ type phaseBench struct {
 	Barrier float64 `json:"barrier,omitempty"`
 	StoreIO float64 `json:"store_io,omitempty"`
 	Replay  float64 `json:"replay,omitempty"`
-	Steal   float64 `json:"steal,omitempty"`
-	Handoff float64 `json:"handoff,omitempty"`
-	Idle    float64 `json:"idle,omitempty"`
 	Canon   float64 `json:"canon_frac,omitempty"`
 	Intern  float64 `json:"intern_frac,omitempty"`
 }
@@ -145,9 +143,6 @@ func benchPhases(st engine.Stats) *phaseBench {
 		Barrier: f(p.BarrierWaitNs),
 		StoreIO: f(p.StoreIONs),
 		Replay:  f(p.ReplayNs),
-		Steal:   f(p.StealNs),
-		Handoff: f(p.HandoffNs),
-		Idle:    f(p.IdleNs),
 		Canon:   round4(p.CanonFrac()),
 		Intern:  round4(p.InternFrac()),
 	}
@@ -156,12 +151,13 @@ func benchPhases(st engine.Stats) *phaseBench {
 // round4 keeps the committed JSON readable (four decimal places).
 func round4(v float64) float64 { return math.Round(v*1e4) / 1e4 }
 
-// schedPoint is one cell of a worker-scaling sweep. Efficiency is the
-// parallel efficiency of a steal-scheduler point: states/sec divided by
-// workers times the one-worker steal rate (1.0 = perfect linear scaling);
-// barrier baseline points leave it zero. AllocsPerState is the same
-// process-wide runtime.MemStats delta as the v4 row metric, here gating
-// the steal path's steady-state zero-allocation contract.
+// schedPoint is one cell of a worker-scaling sweep. Sched is always
+// scalingSched in new runs; committed history also holds "steal" points
+// from a scheduler the engine no longer has, which the field keeps
+// distinguishable. Efficiency is the parallel efficiency: states/sec
+// divided by workers times the one-worker rate (1.0 = perfect linear
+// scaling); history's barrier baselines leave it zero. AllocsPerState is
+// the same process-wide runtime.MemStats delta as the v4 row metric.
 type schedPoint struct {
 	Sched          string  `json:"sched"`
 	Workers        int     `json:"workers"`
@@ -171,8 +167,12 @@ type schedPoint struct {
 	AllocsPerState float64 `json:"allocs_per_state,omitempty"`
 }
 
-// scalingWorkers is the steal-scheduler worker grid of the v5 sweep.
+// scalingWorkers is the worker grid of the v5 sweep.
 var scalingWorkers = []int{1, 2, 4, 8}
+
+// scalingSched labels the sweep's points: the engine's level-synchronous
+// barrier scheduler.
+const scalingSched = "barrier"
 
 type synthBench struct {
 	Search       string  `json:"search"`
@@ -200,9 +200,9 @@ const (
 type benchWorkload struct {
 	name    string
 	explore func(mode exploreMode) (states int, st engine.Stats, err error)
-	// scale, when non-nil, runs the workload's full-mode exploration under
-	// an explicit scheduler and worker count for the v5 scaling sweep.
-	scale func(sc string, workers int) (states int, st engine.Stats, err error)
+	// scale, when non-nil, runs the workload's full-mode exploration at an
+	// explicit worker count for the v5 scaling sweep.
+	scale func(workers int) (states int, st engine.Stats, err error)
 }
 
 func benchWorkloads() ([]benchWorkload, error) {
@@ -210,7 +210,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 	shared := func(alg sharedmem.Algorithm) benchWorkload {
 		return benchWorkload{name: alg.Name(), explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg, Sched: sched}
+			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
 			switch mode {
 			case modeQuotient:
 				opts.Canon = sharedmem.CanonFor(alg)
@@ -249,7 +249,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 			name: fmt.Sprintf("%s(n=%d,r=%d)", p.Name(), cfg.n, cfg.resilience),
 			explore: func(mode exploreMode) (int, engine.Stats, error) {
 				var st engine.Stats
-				opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg, Sched: sched}
+				opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
 				switch mode {
 				case modeQuotient:
 					opts.Canon = canonFn
@@ -282,7 +282,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 		name: "crash-space(n=8,t=4,r=16)",
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg, Sched: sched}
+			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
 			switch mode {
 			case modeQuotient:
 				opts.Canon = crash.Canon()
@@ -306,7 +306,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 		name: "async-lcr(n=7)",
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg, Sched: sched}
+			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
 			switch mode {
 			case modeQuotient, modePORQuotient:
 				return 0, st, nil
@@ -320,12 +320,11 @@ func benchWorkloads() ([]benchWorkload, error) {
 			return g.Len(), st, nil
 		},
 		// The wide workload of the v5 scaling sweep: frontiers in the tens
-		// of thousands, where the barrier scheduler is already near its
-		// best — the sweep gates the steal scheduler against regressing it.
-		scale: func(sc string, workers int) (int, engine.Stats, error) {
+		// of thousands, where every level fans out over all workers.
+		scale: func(workers int) (int, engine.Stats, error) {
 			var st engine.Stats
 			g, err := asyncLCR.CheckElection(core.ExploreOptions{
-				Parallelism: workers, Stats: &st, Store: storeCfg, Sched: sc,
+				Parallelism: workers, Stats: &st, Store: storeCfg,
 			})
 			if err != nil {
 				return 0, st, err
@@ -354,7 +353,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 					return 0, st, nil
 				}
 				g, err := bigLCR.CheckElection(core.ExploreOptions{
-					Parallelism: parallelism, Stats: &st, Store: storeCfg, MaxStates: 200_000_000, Sched: sched,
+					Parallelism: parallelism, Stats: &st, Store: storeCfg, MaxStates: 200_000_000,
 				})
 				if err != nil {
 					return 0, st, err
@@ -371,7 +370,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 					return 0, st, nil
 				}
 				g, err := core.Explore[string](flp.NewSystem(p5, nil, 0), core.ExploreOptions{
-					Parallelism: parallelism, Stats: &st, Store: storeCfg, MaxStates: 200_000_000, Sched: sched,
+					Parallelism: parallelism, Stats: &st, Store: storeCfg, MaxStates: 200_000_000,
 				})
 				if err != nil {
 					return 0, st, err
@@ -385,7 +384,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 		name: "async-abp(m=8)",
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg, Sched: sched}
+			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
 			switch mode {
 			case modeQuotient, modePORQuotient:
 				return 0, st, nil
@@ -400,11 +399,11 @@ func benchWorkloads() ([]benchWorkload, error) {
 			return g.Len(), st, nil
 		},
 	})
-	braidScale := func(sc string, workers int) (int, engine.Stats, error) {
+	braidScale := func(workers int) (int, engine.Stats, error) {
 		var st engine.Stats
 		res, err := engine.Explore([]braidState{{lane: -1}},
 			braidExpand(braidLanes, braidDepth), engine.Options{
-				Parallelism: workers, Stats: &st, Store: storeCfg, Sched: sc,
+				Parallelism: workers, Stats: &st, Store: storeCfg,
 			})
 		if err != nil {
 			return 0, st, err
@@ -413,17 +412,16 @@ func benchWorkloads() ([]benchWorkload, error) {
 	}
 	out = append(out, benchWorkload{
 		// The deep-narrow workload of the v5 scaling sweep: level width
-		// never exceeds braidLanes, so the barrier scheduler pays a
-		// fork/join every handful of states while the steal scheduler
-		// streams the frontier through its shard queues. The chain speedup
-		// headline is this row's steal-vs-barrier ratio at 8 workers.
+		// never exceeds braidLanes, so up to 4 workers each level fans out
+		// over 64 states and at 8 workers the level loop takes its
+		// sequential small-frontier bailout.
 		name: fmt.Sprintf("braid(lanes=%d,depth=%dk)", braidLanes, braidDepth/1000),
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
 			if mode != modeFull {
 				return 0, st, nil
 			}
-			return braidScale(sched, parallelism)
+			return braidScale(parallelism)
 		},
 		scale: braidScale,
 	})
@@ -431,10 +429,9 @@ func benchWorkloads() ([]benchWorkload, error) {
 }
 
 // braidLanes/braidDepth size the deep-narrow workload: 1 + lanes*depth
-// states whose frontier never exceeds lanes. 64 lanes keep the barrier
-// scheduler in its sequential bailout (frontier < workers*16 up to 8
-// workers) while giving the steal scheduler enough in-flight states to
-// occupy the worker grid.
+// states whose frontier never exceeds lanes. 64 lanes put the barrier
+// scheduler's small-frontier bailout (frontier < workers*16) between the
+// 4- and 8-worker points of the sweep.
 const (
 	braidLanes = 64
 	braidDepth = 6_250
@@ -445,7 +442,7 @@ const (
 type braidState struct{ lane, pos int32 }
 
 // braidExpand expands the braid. Every expansion runs braidWork first so
-// the schedulers are measured against a realistic per-state derivation
+// the scheduler is measured against a realistic per-state derivation
 // cost rather than a no-op successor function.
 func braidExpand(lanes, depth int32) engine.ExpandFunc[braidState] {
 	return func(s braidState, x *engine.Ctx[braidState]) {
@@ -466,7 +463,7 @@ func braidExpand(lanes, depth int32) engine.ExpandFunc[braidState] {
 
 // braidWork is a fixed dose (~2-3µs) of pure 64-bit mixing, standing in
 // for the guard evaluation and state derivation a real protocol expansion
-// performs per successor; it is what the scheduling layer's handoff cost
+// performs per successor; it is what the per-level fan-out cost
 // amortizes against.
 func braidWork(lane, pos int32) uint64 {
 	h := uint64(uint32(lane))<<32 | uint64(uint32(pos)) | 1
@@ -600,64 +597,51 @@ func runBench() (benchRecord, error) {
 	return rec, nil
 }
 
-// runScalingSweep runs one workload's v5 worker-scaling sweep: the steal
-// scheduler across scalingWorkers, then barrier baselines at the grid's
-// endpoints (the 1-worker barrier run is the legacy sequential reference;
-// the top-worker one is what the steal-vs-barrier speedup is quoted
-// against). Every run must reproduce the full-mode state count — the
-// sweep doubles as one more determinism check on real workloads.
+// runScalingSweep runs one workload's v5 worker-scaling sweep: one run at
+// each scalingWorkers count, with parallel efficiency against the
+// one-worker run. Every run must reproduce the full-mode state count —
+// the sweep doubles as one more determinism check on real workloads.
 func runScalingSweep(w benchWorkload, wantStates int) ([]schedPoint, error) {
 	var pts []schedPoint
-	var base float64 // one-worker steal throughput, the efficiency denominator
-	type cell struct {
-		sched   string
-		workers int
-	}
-	grid := make([]cell, 0, len(scalingWorkers)+2)
+	var base float64 // one-worker throughput, the efficiency denominator
 	for _, n := range scalingWorkers {
-		grid = append(grid, cell{"steal", n})
-	}
-	grid = append(grid,
-		cell{"barrier", 1},
-		cell{"barrier", scalingWorkers[len(scalingWorkers)-1]})
-	for _, c := range grid {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		states, st, err := w.scale(c.sched, c.workers)
+		states, st, err := w.scale(n)
 		if err != nil {
-			return nil, fmt.Errorf("%s %s w=%d: %w", w.name, c.sched, c.workers, err)
+			return nil, fmt.Errorf("%s w=%d: %w", w.name, n, err)
 		}
 		runtime.ReadMemStats(&after)
 		if states != wantStates {
-			return nil, fmt.Errorf("%s %s w=%d: state count %d != full-mode %d (determinism contract)",
-				w.name, c.sched, c.workers, states, wantStates)
+			return nil, fmt.Errorf("%s w=%d: state count %d != full-mode %d (determinism contract)",
+				w.name, n, states, wantStates)
 		}
 		pt := schedPoint{
-			Sched: c.sched, Workers: c.workers,
+			Sched: scalingSched, Workers: n,
 			Seconds: st.Elapsed.Seconds(), StatesPerSec: st.StatesPerSec,
 		}
 		if states > 0 {
 			pt.AllocsPerState = float64(after.Mallocs-before.Mallocs) / float64(states)
 		}
-		if c.sched == "steal" {
-			if c.workers == 1 {
-				base = pt.StatesPerSec
-			}
-			if base > 0 {
-				pt.Efficiency = pt.StatesPerSec / (float64(c.workers) * base)
-			}
+		if n == 1 {
+			base = pt.StatesPerSec
+		}
+		if base > 0 {
+			pt.Efficiency = pt.StatesPerSec / (float64(n) * base)
 		}
 		pts = append(pts, pt)
 	}
 	return pts, nil
 }
 
-// scalingPoint finds one sweep cell; ok is false when the row carries no
-// such point (pre-v5 history, or a non-scaling workload).
-func scalingPoint(pts []schedPoint, sched string, workers int) (schedPoint, bool) {
+// scalingPoint finds the sweep's point at the given worker count; ok is
+// false when the row carries none (pre-v5 history, a non-scaling
+// workload). It matches scalingSched points only, so a history "steal"
+// point is never compared against a barrier one.
+func scalingPoint(pts []schedPoint, workers int) (schedPoint, bool) {
 	for _, p := range pts {
-		if p.Sched == sched && p.Workers == workers {
+		if p.Sched == scalingSched && p.Workers == workers {
 			return p, true
 		}
 	}
@@ -786,14 +770,12 @@ func compareBenchRuns(prev, cur *benchRecord) {
 				r.System, p.AllocsPerState, r.AllocsPerState)
 		}
 		topW := scalingWorkers[len(scalingWorkers)-1]
-		if cs, ok := scalingPoint(r.Scaling, "steal", topW); ok {
-			if cb, ok := scalingPoint(r.Scaling, "barrier", topW); ok && cb.StatesPerSec > 0 {
-				fmt.Printf("  scaling %s: steal@%d %.0f states/s (eff %.2f), %.2fx vs barrier@%d\n",
-					r.System, topW, cs.StatesPerSec, cs.Efficiency, cs.StatesPerSec/cb.StatesPerSec, topW)
-			}
-			if ps, ok := scalingPoint(p.Scaling, "steal", topW); ok &&
+		if cs, ok := scalingPoint(r.Scaling, topW); ok {
+			fmt.Printf("  scaling %s: %d workers %.0f states/s (eff %.2f)\n",
+				r.System, topW, cs.StatesPerSec, cs.Efficiency)
+			if ps, ok := scalingPoint(p.Scaling, topW); ok &&
 				ps.Efficiency > 0 && cs.Efficiency < ps.Efficiency*(1-benchEffThreshold) {
-				fmt.Printf("  WARN %s: %d-worker steal efficiency dropped %.2f -> %.2f\n",
+				fmt.Printf("  WARN %s: %d-worker efficiency dropped %.2f -> %.2f\n",
 					r.System, topW, ps.Efficiency, cs.Efficiency)
 			}
 		}

@@ -17,8 +17,8 @@ const benchCompareThreshold = 0.30
 // one allocation per successor moves this metric by orders of magnitude.
 const benchAllocThreshold = 0.50
 
-// benchEffThreshold is the relative drop in top-worker steal-scheduler
-// parallel efficiency past which bench-compare warns (schema v5 scaling
+// benchEffThreshold is the relative drop in top-worker parallel
+// efficiency past which bench-compare warns (schema v5 scaling
 // sweep). Efficiency moves with co-tenancy on shared runners, so the
 // scheduler axis warns instead of failing, and only when the two runs
 // carry the same hardware fingerprint.
@@ -133,11 +133,11 @@ func diffBenchRecords(prev, cur *benchRecord, threshold, allocThreshold float64)
 			}
 		}
 		topW := scalingWorkers[len(scalingWorkers)-1]
-		ps, pok := scalingPoint(p.Scaling, "steal", topW)
-		cs, cok := scalingPoint(r.Scaling, "steal", topW)
+		ps, pok := scalingPoint(p.Scaling, topW)
+		cs, cok := scalingPoint(r.Scaling, topW)
 		if sameHW && pok && cok && ps.Efficiency > 0 &&
 			cs.Efficiency < ps.Efficiency*(1-benchEffThreshold) {
-			warns = append(warns, fmt.Sprintf("%s: %d-worker steal efficiency dropped %.0f%% (%.2f -> %.2f)",
+			warns = append(warns, fmt.Sprintf("%s: %d-worker efficiency dropped %.0f%% (%.2f -> %.2f)",
 				r.System, topW, (1-cs.Efficiency/ps.Efficiency)*100, ps.Efficiency, cs.Efficiency))
 		}
 	}

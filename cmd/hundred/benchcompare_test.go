@@ -124,8 +124,8 @@ func TestBenchCompareEfficiencyWarning(t *testing.T) {
 		return benchRecord{GOMAXPROCS: 8, Explorations: []explorationBench{{
 			System: "braid", FullStates: 100, FullStatesPerSec: 1000,
 			Scaling: []schedPoint{
-				{Sched: "steal", Workers: 8, StatesPerSec: eff * 8000, Efficiency: eff},
-				{Sched: "barrier", Workers: 8, StatesPerSec: 900},
+				{Sched: "barrier", Workers: 1, StatesPerSec: 1000, Efficiency: 1},
+				{Sched: "barrier", Workers: 8, StatesPerSec: eff * 8000, Efficiency: eff},
 			},
 		}}}
 	}
@@ -134,7 +134,7 @@ func TestBenchCompareEfficiencyWarning(t *testing.T) {
 	if len(bad) != 0 {
 		t.Fatalf("efficiency drop failed the gate instead of warning: %v", bad)
 	}
-	if len(warns) != 1 || !strings.Contains(warns[0], "steal efficiency") {
+	if len(warns) != 1 || !strings.Contains(warns[0], "8-worker efficiency") {
 		t.Fatalf("warns = %v, want one efficiency warning", warns)
 	}
 	// A drop inside the threshold is run-to-run noise.
@@ -156,6 +156,18 @@ func TestBenchCompareEfficiencyWarning(t *testing.T) {
 	_, warns, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(warns) != 0 {
 		t.Fatalf("pre-v5 row tripped the efficiency warning: %v", warns)
+	}
+	// History rows from when a steal scheduler existed carry steal points
+	// with an efficiency and barrier baselines without one. The warning
+	// compares barrier against barrier only, so a new barrier run is
+	// never held to an old steal efficiency.
+	prev.Explorations[0].Scaling = []schedPoint{
+		{Sched: "steal", Workers: 8, StatesPerSec: 7200, Efficiency: 0.9},
+		{Sched: "barrier", Workers: 8, StatesPerSec: 900},
+	}
+	_, warns, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	if len(warns) != 0 {
+		t.Fatalf("new barrier point compared against history's steal point: %v", warns)
 	}
 }
 

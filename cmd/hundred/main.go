@@ -71,7 +71,6 @@ var (
 	snapshotEvery  time.Duration
 	storeCfg       store.Config
 	benchBig       bool
-	sched          string
 )
 
 // statsSink returns a fresh telemetry sink when -stats is set (which also
@@ -154,15 +153,7 @@ func run() int {
 		"visited-set backend for state-space experiments: mem | spill | bitstate (bitstate is lossy: verdicts downgrade to \"no violation found\")")
 	maxStoreBytes := flag.Int64("max-store-bytes", 0,
 		"spill backend's resident-payload budget in bytes (0 = 256 MiB default)")
-	flag.StringVar(&sched, "sched", "",
-		"exploration scheduler: barrier (default: per-level fork/join) | steal (persistent work-stealing pool; faster on deep-narrow graphs); results are identical either way")
 	flag.Parse()
-	switch sched {
-	case "", "barrier", "steal":
-	default:
-		fmt.Fprintf(os.Stderr, "hundred: unknown -sched %q (want barrier or steal)\n", sched)
-		return 2
-	}
 	var err error
 	if storeCfg, err = store.ParseFlags(*storeKind, *maxStoreBytes); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -174,7 +165,6 @@ func run() int {
 			"parallel": strconv.Itoa(parallelism),
 			"por":      strconv.FormatBool(usePOR),
 			"store":    string(storeCfg.ResolvedKind()),
-			"sched":    sched,
 			"args":     strings.Join(flag.Args(), " "),
 		},
 	})
@@ -225,9 +215,26 @@ func run() int {
 		}
 		return 0
 	}
+	return runExperiments(exps, flag.Args())
+}
+
+// runExperiments runs the experiments named by ids (case-insensitive),
+// or all of them when ids is empty, and returns the exit status: 0 when
+// every one succeeded, 1 when any failed, and 2 — before running anything
+// — when an id names no experiment.
+func runExperiments(exps []experiment, ids []string) int {
+	known := make(map[string]bool, len(exps))
+	for _, e := range exps {
+		known[e.id] = true
+	}
 	want := map[string]bool{}
-	for _, a := range flag.Args() {
-		want[strings.ToUpper(a)] = true
+	for _, a := range ids {
+		id := strings.ToUpper(a)
+		if !known[id] {
+			fmt.Fprintf(os.Stderr, "hundred: unknown experiment %q (hundred -list shows the ids)\n", a)
+			return 2
+		}
+		want[id] = true
 	}
 	failed := 0
 	for _, e := range exps {
@@ -301,7 +308,7 @@ func e02() error {
 		st := statsSink()
 		rep, err := sharedmem.CheckMutex(a, sharedmem.CheckMutexOptions{
 			Parallelism: parallelism, Stats: st, Sink: obsSink, SnapshotEvery: snapshotEvery,
-			Store: storeCfg, Sched: sched,
+			Store: storeCfg,
 		})
 		if err != nil {
 			return err
@@ -334,7 +341,7 @@ func e04() error {
 		st := statsSink()
 		rep, err := sharedmem.CheckMutex(sharedmem.NewTicketLock(n), sharedmem.CheckMutexOptions{
 			Parallelism: parallelism, Stats: st, Sink: obsSink, SnapshotEvery: snapshotEvery,
-			Store: storeCfg, Sched: sched,
+			Store: storeCfg,
 		})
 		if err != nil {
 			return err
@@ -478,7 +485,7 @@ func e11() error {
 		st := statsSink()
 		opts := flp.AnalyzeOptions{
 			Parallelism: parallelism, Stats: st, Sink: obsSink, SnapshotEvery: snapshotEvery,
-			Store: storeCfg, VerifyAliasing: verifyAliasing, Sched: sched,
+			Store: storeCfg, VerifyAliasing: verifyAliasing,
 		}
 		if usePOR {
 			opts.Independent = flp.DeliveryIndependence(p)
@@ -697,7 +704,7 @@ func e21() error {
 	st := statsSink()
 	opts := core.ExploreOptions{
 		Parallelism: parallelism, Sink: obsSink, SnapshotEvery: snapshotEvery,
-		Store: storeCfg, VerifyAliasing: verifyAliasing, Sched: sched,
+		Store: storeCfg, VerifyAliasing: verifyAliasing,
 	}
 	if st != nil {
 		opts.Stats = st

@@ -54,3 +54,20 @@ func TestRunLiveNoModelScale(t *testing.T) {
 		t.Fatalf("live-only lcr at n=64 exited %d, want 0", code)
 	}
 }
+
+// TestRunExperimentsRejectsUnknownID: an id that names no experiment is a
+// usage error (exit 2) caught before anything runs, so a typo can never
+// pass as a clean run; known ids match case-insensitively.
+func TestRunExperimentsRejectsUnknownID(t *testing.T) {
+	if code := runExperiments(experiments(), []string{"E99"}); code != 2 {
+		t.Fatalf("hundred E99 exited %d, want 2", code)
+	}
+	ran := 0
+	exps := []experiment{{"E01", "stub", func() error { ran++; return nil }}}
+	if code := runExperiments(exps, []string{"E01", "E99"}); code != 2 || ran != 0 {
+		t.Fatalf("E01 E99: exit %d after %d runs, want exit 2 before any run", code, ran)
+	}
+	if code := runExperiments(exps, []string{"e01"}); code != 0 || ran != 1 {
+		t.Fatalf("e01: exit %d after %d runs, want exit 0 after one run", code, ran)
+	}
+}

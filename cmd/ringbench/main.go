@@ -59,15 +59,7 @@ func run() int {
 		"visited-set backend for the async LCR sweep: mem | spill | bitstate (bitstate is lossy: the schedule check becomes \"no violation found\")")
 	maxStoreBytes := flag.Int64("max-store-bytes", 0,
 		"spill backend's resident-payload budget in bytes (0 = 256 MiB default)")
-	sched := flag.String("sched", "",
-		"exploration scheduler: barrier (default: per-level fork/join) | steal (persistent work-stealing pool); results are identical either way")
 	flag.Parse()
-	switch *sched {
-	case "", "barrier", "steal":
-	default:
-		fmt.Fprintf(os.Stderr, "ringbench: unknown -sched %q (want barrier or steal)\n", *sched)
-		return 2
-	}
 	storeCfg, err := store.ParseFlags(*storeKind, *maxStoreBytes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -81,7 +73,6 @@ func run() int {
 			"parallel": strconv.Itoa(*parallelism),
 			"por":      strconv.FormatBool(*usePOR),
 			"store":    string(storeCfg.ResolvedKind()),
-			"sched":    *sched,
 		},
 	})
 	if err != nil {
@@ -148,7 +139,7 @@ func run() int {
 		var st engine.Stats
 		opts := core.ExploreOptions{
 			Parallelism: *parallelism, Sink: sink, SnapshotEvery: *snapshotEvery,
-			Store: storeCfg, VerifyAliasing: *verifyAliasing, Sched: *sched,
+			Store: storeCfg, VerifyAliasing: *verifyAliasing,
 		}
 		if *showStats || storeCfg.ResolvedKind() != store.Mem {
 			opts.Stats = &st

@@ -182,14 +182,6 @@ type ExploreOptions struct {
 	// must downgrade universally-quantified verdicts — check Stats.Lossy.
 	// See store.Config.
 	Store store.Config
-	// Sched selects the exploration scheduler: "" or "barrier" for the
-	// per-level fork/join loop, "steal" for the persistent work-stealing
-	// pool (barrier-free discovery on low-branching graphs; see
-	// engine.Options.Sched). The Graph is byte-identical either way —
-	// scheduling is a performance knob, never a semantic one. Setting a
-	// non-empty Sched routes exploration through the engine at any
-	// parallelism.
-	Sched string
 }
 
 // DefaultMaxStates bounds exploration when ExploreOptions.MaxStates is zero.
@@ -209,7 +201,7 @@ func Explore[S comparable](sys System[S], opts ExploreOptions) (*Graph[S], error
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > 1 || opts.Stats != nil || opts.Canon != nil || opts.Independent != nil || opts.Sink != nil || opts.Store.Kind != "" || opts.VerifyAliasing > 0 || opts.Sched != "" {
+	if par > 1 || opts.Stats != nil || opts.Canon != nil || opts.Independent != nil || opts.Sink != nil || opts.Store.Kind != "" || opts.VerifyAliasing > 0 {
 		return exploreEngine(sys, limit, par, opts)
 	}
 	return exploreSequential(sys, limit)
@@ -243,7 +235,6 @@ func exploreEngine[S comparable](sys System[S], limit, par int, opts ExploreOpti
 		Sink:           opts.Sink,
 		SnapshotEvery:  opts.SnapshotEvery,
 		Store:          opts.Store,
-		Sched:          opts.Sched,
 	})
 	if err != nil {
 		switch {

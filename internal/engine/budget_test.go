@@ -10,7 +10,7 @@ import (
 
 // maxAllocPerEdge is the committed allocation budget of one exploration,
 // in heap bytes per recorded edge, for the space in TestExploreAllocBudget:
-// the measured 100–102 B/edge (2 workers, both schedulers) plus 25%. The
+// the measured 100–102 B/edge (2 workers) plus 25%. The
 // Result's own edge table is 32 B/edge and the space materializes each
 // successor string, so most of the budget is not the engine's. A successor
 // record that regrows by copying or holds label strings again costs over
@@ -21,25 +21,23 @@ const maxAllocPerEdge = 128
 // fixed spacegen product space (121,500 states, 1,514,700 edges).
 func TestExploreAllocBudget(t *testing.T) {
 	sp := spacegen.Generate(spacegen.Config{Seed: 3, Families: 3, MaxStates: 8, MaxMult: 3, MaxExtra: 3, MaxSinks: 2})
-	for _, sched := range []string{"barrier", "steal"} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := engine.Explore([]string{sp.Init()}, sp.ExpandFunc(), engine.Options{Parallelism: 2, Sched: sched})
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatalf("%s: %v", sched, err)
-		}
-		if len(res.States) != sp.Truth.States {
-			t.Fatalf("%s: explored %d states, want %d", sched, len(res.States), sp.Truth.States)
-		}
-		edges := 0
-		for _, es := range res.Edges {
-			edges += len(es)
-		}
-		perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(edges)
-		t.Logf("%s: %d edges, %.1f B/edge allocated", sched, edges, perEdge)
-		if perEdge > maxAllocPerEdge {
-			t.Errorf("%s: Explore allocated %.1f B/edge, budget %d", sched, perEdge, maxAllocPerEdge)
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := engine.Explore([]string{sp.Init()}, sp.ExpandFunc(), engine.Options{Parallelism: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.States) != sp.Truth.States {
+		t.Fatalf("explored %d states, want %d", len(res.States), sp.Truth.States)
+	}
+	edges := 0
+	for _, es := range res.Edges {
+		edges += len(es)
+	}
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(edges)
+	t.Logf("%d edges, %.1f B/edge allocated", edges, perEdge)
+	if perEdge > maxAllocPerEdge {
+		t.Errorf("Explore allocated %.1f B/edge, budget %d", perEdge, maxAllocPerEdge)
 	}
 }

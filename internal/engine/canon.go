@@ -167,7 +167,4 @@ func (e *explorer[S]) noteVerifyErr(err error) {
 		e.verifyErr = err
 	}
 	e.verifyMu.Unlock()
-	// The free-running scheduler has no barriers; its workers poll this
-	// flag per expansion and fail fast.
-	e.verifySet.Store(true)
 }

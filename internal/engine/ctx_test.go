@@ -39,7 +39,10 @@ func gridExpandBytes(n int) ExpandFunc[string] {
 
 // TestEmitBytesMatchesEmit checks the EmitBytes direct path against the
 // materializing Emit path: byte-identical Results and invariant telemetry
-// at several worker counts and across every bytes-capable backend.
+// at several worker counts and across every bytes-capable backend. The
+// profiled runs (a Stats out-param turns phase profiling on) send every
+// 64th state through the timed twin of the direct path, which must agree
+// too.
 func TestEmitBytesMatchesEmit(t *testing.T) {
 	const n = 12
 	inits := []string{"0,0"}
@@ -49,19 +52,28 @@ func TestEmitBytesMatchesEmit(t *testing.T) {
 	}
 	for name, sc := range stores {
 		for _, par := range []int{1, 2, 8} {
-			opts := Options{Parallelism: par, Store: sc, VerifyAliasing: 1}
-			want, err := Explore(inits, gridExpand(n), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Explore(inits, gridExpandBytes(n), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustEqualResults(t, fmt.Sprintf("emit-bytes %s workers=%d", name, par), want, got)
-			if want.Stats.DedupHits != got.Stats.DedupHits || want.Stats.Expansions != got.Stats.Expansions {
-				t.Fatalf("%s workers=%d: telemetry differs: dedup %d vs %d, expansions %d vs %d", name, par,
-					want.Stats.DedupHits, got.Stats.DedupHits, want.Stats.Expansions, got.Stats.Expansions)
+			for _, profiled := range []bool{false, true} {
+				opts := Options{Parallelism: par, Store: sc, VerifyAliasing: 1}
+				want, err := Explore(inits, gridExpand(n), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if profiled {
+					opts.Stats = new(Stats)
+				}
+				got, err := Explore(inits, gridExpandBytes(n), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("emit-bytes %s workers=%d profiled=%v", name, par, profiled)
+				mustEqualResults(t, label, want, got)
+				if want.Stats.DedupHits != got.Stats.DedupHits || want.Stats.Expansions != got.Stats.Expansions {
+					t.Fatalf("%s: telemetry differs: dedup %d vs %d, expansions %d vs %d", label,
+						want.Stats.DedupHits, got.Stats.DedupHits, want.Stats.Expansions, got.Stats.Expansions)
+				}
+				if profiled && !strings.Contains(got.Stats.PhaseString(), "sampled=") {
+					t.Fatalf("%s: no fine-sampled states in %q", label, got.Stats.PhaseString())
+				}
 			}
 		}
 	}
@@ -98,26 +110,37 @@ func sortCanonBytes(dst, src []byte) []byte {
 
 // TestCanonBytesMatchesCanon checks the byte-level quotient path against
 // the string canonicalizer: identical quotient Results and telemetry, with
-// VerifyCanon cross-checking agreement on every remapped state.
+// VerifyCanon cross-checking agreement on every remapped state. As in
+// TestEmitBytesMatchesEmit, the profiled runs also cover the timed twin
+// of the byte canonicalization path.
 func TestCanonBytesMatchesCanon(t *testing.T) {
 	const n = 10
 	inits := []string{"0,0"}
 	for _, par := range []int{1, 2, 8} {
-		strOpts := Options{Parallelism: par, Canon: sortCanon, VerifyCanon: 1, VerifyAliasing: 1}
-		want, err := Explore(inits, gridExpand(n), strOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bytesOpts := strOpts
-		bytesOpts.CanonBytes = sortCanonBytes
-		got, err := Explore(inits, gridExpandBytes(n), bytesOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualResults(t, fmt.Sprintf("canon-bytes workers=%d", par), want, got)
-		if want.Stats.CanonHits != got.Stats.CanonHits || want.Stats.RawStates != got.Stats.RawStates {
-			t.Fatalf("workers=%d: canon telemetry differs: hits %d vs %d, raw %d vs %d", par,
-				want.Stats.CanonHits, got.Stats.CanonHits, want.Stats.RawStates, got.Stats.RawStates)
+		for _, profiled := range []bool{false, true} {
+			strOpts := Options{Parallelism: par, Canon: sortCanon, VerifyCanon: 1, VerifyAliasing: 1}
+			want, err := Explore(inits, gridExpand(n), strOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytesOpts := strOpts
+			bytesOpts.CanonBytes = sortCanonBytes
+			if profiled {
+				bytesOpts.Stats = new(Stats)
+			}
+			got, err := Explore(inits, gridExpandBytes(n), bytesOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("canon-bytes workers=%d profiled=%v", par, profiled)
+			mustEqualResults(t, label, want, got)
+			if want.Stats.CanonHits != got.Stats.CanonHits || want.Stats.RawStates != got.Stats.RawStates {
+				t.Fatalf("%s: canon telemetry differs: hits %d vs %d, raw %d vs %d", label,
+					want.Stats.CanonHits, got.Stats.CanonHits, want.Stats.RawStates, got.Stats.RawStates)
+			}
+			if profiled && got.Stats.Phases.SampledStates == 0 {
+				t.Fatalf("%s: no fine-sampled states", label)
+			}
 		}
 	}
 }

@@ -151,15 +151,6 @@ type Options struct {
 	// bit; the bitstate backend is lossy and taints the run's Stats with
 	// Lossy=true. See internal/store.
 	Store store.Config
-	// Sched selects the discovery scheduler. "" and "barrier" run the
-	// level-synchronized fork/join loop (the default); "steal" runs the
-	// persistent work-stealing worker pool: shard-owning workers with
-	// private deques, batched frontier handoff, and termination detection
-	// instead of per-level barriers (see sched_steal.go). Both schedulers
-	// produce byte-identical Results, Stats invariants, and trace digests —
-	// discovery order is free because the replay pass renumbers the graph
-	// into sequential BFS order either way. Any other value is an error.
-	Sched string
 
 	// degradeFingerprint collapses the state fingerprint to two bits,
 	// forcing heavy shard collisions. Test-only: it exercises the
@@ -257,10 +248,6 @@ type worker[S comparable] struct {
 	// aliasBuf and aliasActs are the VerifyAliasing re-expansion buffers.
 	aliasBuf  []rawEdge
 	aliasActs []Action[S]
-	// sw is the worker's free-running-scheduler state (deques, handoff
-	// channels); nil outside Sched == "steal" free-running runs. See
-	// sched_steal.go.
-	sw *stealWorker[S]
 	// prof is the worker's phase-attribution profile; nil when profiling
 	// is off (no Stats out-param and no Sink). profSampling marks the
 	// current expansion as fine-sampled, so the Ctx emit paths divert to
@@ -327,13 +314,9 @@ type explorer[S comparable] struct {
 	tel *telemetry
 
 	// The first canon/POR safety-check failure lands in verifyErr and
-	// surfaces deterministically at the next level barrier. verifySet
-	// mirrors "verifyErr != nil" as an atomic flag, so the free-running
-	// scheduler's workers can fail fast without taking the mutex per
-	// expansion.
+	// surfaces deterministically at the next level barrier.
 	verifyMu  sync.Mutex
 	verifyErr error
-	verifySet atomic.Bool
 
 	// pspans records, per provisional id, where the expanding worker put
 	// its successors. Workers write it concurrently at the distinct ids
@@ -342,11 +325,6 @@ type explorer[S comparable] struct {
 	pspans *pagedSpans
 	// labels is the run's label alphabet (see labelTable).
 	labels labelTable
-
-	// steal is non-nil while the free-running work-stealing discovery
-	// phase is live (plus its sequential completion pass): the Ctx emit
-	// paths branch to it. See sched_steal.go.
-	steal atomic.Pointer[stealRun[S]]
 
 	// profStoreIO and profReplay are the coordinator-only phase counters
 	// (store maintenance between levels, the sequential replay pass);
@@ -387,8 +365,8 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 	if prof != nil {
 		// One clock read per level entry/exit: all in-level time (expansion
 		// plus chunk claiming and span bookkeeping) is the expand phase.
-		prof.resume(phExpand)
-		defer prof.flush()
+		prof.startExpand()
+		defer prof.stopExpand()
 	}
 	for {
 		lo := int(cursor.Add(int64(chunk))) - chunk
@@ -412,7 +390,7 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 				e.expand(s, x)
 			}
 			sp := span{worker: w, off: off, n: ws.edges - off}
-			e.pspans.set(int32(id), sp, 0)
+			e.pspans.set(int32(id), sp)
 			ws.steps.Add(1)
 			// fpOfID re-fetches the state off the hot path: fp(&s) inline
 			// would make escape analysis heap-box s on every iteration,
@@ -432,6 +410,13 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 func (e *explorer[S]) fpOfID(id int32) uint64 {
 	s := e.store.State(id)
 	return e.fp(&s)
+}
+
+// takeVerifyErr reads the sticky verify error under its lock.
+func (e *explorer[S]) takeVerifyErr() error {
+	e.verifyMu.Lock()
+	defer e.verifyMu.Unlock()
+	return e.verifyErr
 }
 
 // expandRangePOR is expandRange's partial-order-reduced twin: instead of
@@ -459,8 +444,8 @@ func (e *explorer[S]) expandRangePOR(w int32, cursor *atomic.Int64, hi int, chun
 	}
 	prof := ws.prof
 	if prof != nil {
-		prof.resume(phExpand)
-		defer prof.flush()
+		prof.startExpand()
+		defer prof.stopExpand()
 	}
 	for {
 		lo := int(cursor.Add(int64(chunk))) - chunk
@@ -524,7 +509,7 @@ func (e *explorer[S]) expandRangePOR(w int32, cursor *atomic.Int64, hi int, chun
 					record(pa)
 				}
 			}
-			e.pspans.set(int32(id), span{worker: w, off: off, n: ws.edges - off}, 0)
+			e.pspans.set(int32(id), span{worker: w, off: off, n: ws.edges - off})
 			ws.steps.Add(1)
 			if ws.profSampling {
 				prof.noteSample(time.Since(sampleT))
@@ -561,14 +546,6 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	nw := opts.Parallelism
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
-	}
-	sched := "barrier"
-	switch opts.Sched {
-	case "", "barrier":
-	case "steal":
-		sched = "steal"
-	default:
-		return nil, fmt.Errorf("engine: unknown scheduler %q (want \"barrier\" or \"steal\")", opts.Sched)
 	}
 
 	e := &explorer[S]{expand: expand, fp: fingerprint[S]}
@@ -628,11 +605,7 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		}
 	}
 
-	// Free-running discovery (work-stealing scheduler without POR or a
-	// spill store) replaces the level loop; its levelization also needs the
-	// per-state canonicalizer-remap counts next to the spans.
-	freeMode := sched == "steal" && e.indep == nil && opts.Store.ResolvedKind() != store.Spill
-	e.pspans = newPagedSpans(freeMode && e.canon != nil)
+	e.pspans = newPagedSpans()
 	e.labels.ids = make(map[string]int32)
 	e.workers = make([]*worker[S], nw)
 	for i := range e.workers {
@@ -677,7 +650,7 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 
 	if opts.Sink != nil {
 		e.tel = newTelemetry(opts.Sink, start, limit, nw, len(initIDs),
-			e.canon != nil, e.indep != nil, opts.Store, sched,
+			e.canon != nil, e.indep != nil, opts.Store,
 			func() int { return e.store.Len() },
 			func() []uint64 {
 				steps := make([]uint64, len(e.workers))
@@ -687,21 +660,6 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 				return steps
 			},
 			e.store.Stats,
-			func() (uint64, uint64, uint64) {
-				sr := e.steal.Load()
-				if sr == nil {
-					return 0, 0, 0
-				}
-				var steals, batches, occ uint64
-				for _, sw := range sr.ws {
-					steals += sw.steals.Load()
-					batches += sw.handoffBatches.Load()
-					if n := sw.dqLen.Load(); n > 0 {
-						occ += uint64(n)
-					}
-				}
-				return steals, batches, occ
-			},
 			e.livePhases)
 		every := opts.SnapshotEvery
 		if every == 0 {
@@ -714,116 +672,96 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		defer e.tel.stopMonitor()
 	}
 
-	// Parallel phase. Free-running discovery replaces the level loop
-	// entirely; the barrier scheduler — and the steal scheduler's epoch
-	// submode, which only swaps the per-level fan-out for a persistent
-	// pool — expand whole BFS levels between barriers. The level granularity is what
-	// keeps truncation canonical — if the state count crosses the limit,
-	// every state the sequential explorer would have expanded before
-	// failing has already been expanded here (the overshoot is at most one
-	// level of successors); the free-running path re-establishes the same
-	// cutoff with its sequential completion pass.
+	// Parallel phase: expand whole BFS levels between barriers. The level
+	// granularity is what keeps truncation canonical — if the state count
+	// crosses the limit, every state the sequential explorer would have
+	// expanded before failing has already been expanded here (the
+	// overshoot is at most one level of successors).
 	var st Stats
 	st.Workers = nw
-	st.Sched = sched
-	if freeMode {
-		if err := e.exploreFree(&st, inits, initIDs, limit, nw); err != nil {
-			return nil, err
+	expandLevel := e.expandRange
+	if e.indep != nil {
+		expandLevel = e.expandRangePOR
+	}
+	lo, hi := 0, e.store.Len()
+	for lo < hi {
+		frontier := hi - lo
+		if frontier > st.PeakFrontier {
+			st.PeakFrontier = frontier
 		}
-		st.POREnabled = false
-	} else {
-		expandLevel := e.expandRange
-		if e.indep != nil {
-			expandLevel = e.expandRangePOR
-		}
-		dispatch := func(cursor *atomic.Int64, hi, chunk int) {
+		st.Depth++
+		var cursor atomic.Int64
+		cursor.Store(int64(lo))
+		chunk := frontier/(nw*4) + 1
+		// Small frontiers are not worth a fan-out: per-level goroutine
+		// and barrier costs would dominate on deep, narrow graphs
+		// (chains).
+		if nw == 1 || frontier < nw*16 {
+			expandLevel(0, &cursor, hi, chunk)
+		} else {
 			var wg sync.WaitGroup
 			for w := 1; w < nw; w++ {
 				wg.Add(1)
 				go func(w int32) {
 					defer wg.Done()
-					expandLevel(w, cursor, hi, chunk)
+					expandLevel(w, &cursor, hi, chunk)
 				}(int32(w))
 			}
-			expandLevel(0, cursor, hi, chunk)
+			expandLevel(0, &cursor, hi, chunk)
 			waitBarrier(e.workers[0].prof, &wg)
 		}
-		if sched == "steal" && nw > 1 {
-			d, shutdown := e.epochPool(nw, expandLevel)
-			dispatch = d
-			defer shutdown()
+		// Level barrier: the store already holds every state interned
+		// during this level (the barrier's happens-before makes the
+		// payloads readable by id from any worker next level).
+		total := e.store.Len()
+		lo, hi = hi, total
+		// Budget maintenance runs at the barrier, while the workers are
+		// quiescent: the store may spill payloads below the next frontier
+		// (ids < lo) and must surface any sticky I/O error here, so the
+		// failure is deterministic per level, never mid-expansion.
+		if err := e.maintainStore(int32(lo)); err != nil {
+			return nil, fmt.Errorf("engine: state store: %w", err)
 		}
-		lo, hi := 0, e.store.Len()
-		for lo < hi {
-			frontier := hi - lo
-			if frontier > st.PeakFrontier {
-				st.PeakFrontier = frontier
+		if e.canon != nil || e.indep != nil || e.aliasMod != 0 {
+			// The barrier makes soundness-check failure deterministic:
+			// every sampled state of the finished level has been checked,
+			// so whether an error exists here depends only on the system
+			// and the installed hooks, never on scheduling.
+			if verr := e.takeVerifyErr(); verr != nil {
+				return nil, verr
 			}
-			st.Depth++
-			var cursor atomic.Int64
-			cursor.Store(int64(lo))
-			chunk := frontier/(nw*4) + 1
-			// Small frontiers are not worth a fan-out: per-level goroutine
-			// and barrier costs would dominate on deep, narrow graphs
-			// (chains).
-			if nw == 1 || frontier < nw*16 {
-				expandLevel(0, &cursor, hi, chunk)
-			} else {
-				dispatch(&cursor, hi, chunk)
-			}
-			// Level barrier: the store already holds every state interned
-			// during this level (the barrier's happens-before makes the
-			// payloads readable by id from any worker next level).
-			total := e.store.Len()
-			lo, hi = hi, total
-			// Budget maintenance runs at the barrier, while the workers are
-			// quiescent: the store may spill payloads below the next frontier
-			// (ids < lo) and must surface any sticky I/O error here, so the
-			// failure is deterministic per level, never mid-expansion.
-			if err := e.maintainStore(int32(lo)); err != nil {
-				return nil, fmt.Errorf("engine: state store: %w", err)
-			}
-			if e.canon != nil || e.indep != nil || e.aliasMod != 0 {
-				// The barrier makes soundness-check failure deterministic:
-				// every sampled state of the finished level has been checked,
-				// so whether an error exists here depends only on the system
-				// and the installed hooks, never on scheduling.
-				if verr := e.takeVerifyErr(); verr != nil {
-					return nil, verr
-				}
-			}
+		}
+		if e.tel != nil {
+			// The workers are quiescent between barriers, so the level
+			// event's counters are exact — and worker-count-invariant, per
+			// the determinism contract (the trace digest relies on this).
+			publishLevel(e.tel, e, total, st.Depth, hi-lo, st.PeakFrontier)
+		}
+		if total > limit {
 			if e.tel != nil {
-				// The workers are quiescent between barriers, so the level
-				// event's counters are exact — and worker-count-invariant, per
-				// the determinism contract (the trace digest relies on this).
-				publishLevel(e.tel, e, total, st.Depth, hi-lo, st.PeakFrontier)
+				e.tel.truncated(total, st.Depth, st.PeakFrontier)
 			}
-			if total > limit {
-				if e.tel != nil {
-					e.tel.truncated(total, st.Depth, st.PeakFrontier)
-				}
-				break
+			break
+		}
+	}
+	for _, ws := range e.workers {
+		st.WorkerSteps = append(st.WorkerSteps, ws.steps.Load())
+		st.Expansions += ws.steps.Load()
+		st.DedupHits += ws.dedup
+		st.CanonHits += ws.canonHits
+		st.AmpleStates += ws.ampleStates
+		st.DeferredActions += ws.deferred
+	}
+	st.POREnabled = e.indep != nil
+	if e.canon != nil {
+		st.CanonEnabled = true
+		rawAll := e.workers[0].rawSeen
+		for _, ws := range e.workers[1:] {
+			for h := range ws.rawSeen {
+				rawAll[h] = struct{}{}
 			}
 		}
-		for _, ws := range e.workers {
-			st.WorkerSteps = append(st.WorkerSteps, ws.steps.Load())
-			st.Expansions += ws.steps.Load()
-			st.DedupHits += ws.dedup
-			st.CanonHits += ws.canonHits
-			st.AmpleStates += ws.ampleStates
-			st.DeferredActions += ws.deferred
-		}
-		st.POREnabled = e.indep != nil
-		if e.canon != nil {
-			st.CanonEnabled = true
-			rawAll := e.workers[0].rawSeen
-			for _, ws := range e.workers[1:] {
-				for h := range ws.rawSeen {
-					rawAll[h] = struct{}{}
-				}
-			}
-			st.RawStates = len(rawAll)
-		}
+		st.RawStates = len(rawAll)
 	}
 
 	res, err := e.replayTimed(initIDs, limit)
@@ -907,7 +845,7 @@ func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
 	for head := 0; head < len(queue); head++ {
 		pid := queue[head]
 		cid := int(canon[pid])
-		sp, _ := e.pspans.get(pid)
+		sp := e.pspans.get(pid)
 		if sp.worker < 0 {
 			// Unreachable: the level-granular cutoff guarantees the limit
 			// fires (below) before any unexpanded state is dequeued.

@@ -13,10 +13,9 @@ import (
 // worker's prof pointer stays nil and the engine keeps its zero-cost
 // disabled path. The design keeps clock reads off the per-state hot path:
 //
-//   - Coarse counters (expand, barrier-wait, steal, handoff, idle) are a
-//     per-worker *phase clock*: each worker attributes wall time at phase
-//     transitions, which happen per level, per batch, or per steal — never
-//     per state. Consecutive expansions share one running interval.
+//   - Coarse counters (expand, barrier-wait) are timed per level, never
+//     per state: each worker reads the clock when it enters and leaves a
+//     level's expansion loop, so consecutive expansions share one interval.
 //   - The fine canon/intern split inside expansion time is *sampled*: one
 //     state in 64 (by provisional id) is timed end-to-end, with its
 //     canonicalization and hash+intern sections timed individually along
@@ -31,16 +30,6 @@ import (
 // profiling) is untouched. The overhead contract is the obs layer's ≤3%;
 // measured figures live in EXPERIMENTS.md.
 
-// Phase-clock indices (phaseProf.counters).
-const (
-	phExpand = iota
-	phBarrier
-	phSteal
-	phHandoff
-	phIdle
-	phCount
-)
-
 // profSampleMask selects 1 state in 64 (provisional id & mask == 0) for
 // fine-grained timing. Provisional ids are scheduling-dependent, which is
 // fine: the sample population varies run to run, the reported fractions
@@ -48,12 +37,13 @@ const (
 const profSampleMask = 63
 
 // phaseProf is one worker's phase profile. The counters are atomics so
-// the telemetry monitor can read mid-run; cur/last (the phase clock) are
-// owned by the worker's current goroutine and never read elsewhere.
+// the telemetry monitor can read mid-run; last (the start of the running
+// expand interval) is owned by the worker's current goroutine and never
+// read elsewhere.
 type phaseProf struct {
-	counters [phCount]atomic.Int64
-	cur      int
-	last     time.Time
+	expand  atomic.Int64
+	barrier atomic.Int64
+	last    time.Time
 
 	sampled      atomic.Uint64
 	sampleExpand atomic.Int64
@@ -62,20 +52,12 @@ type phaseProf struct {
 	expandLat    obs.Hist
 }
 
-// resume starts the phase clock in phase ph, discarding any un-flushed
-// interval (used at worker-loop entry, once per level or per run).
-func (p *phaseProf) resume(ph int) { p.cur, p.last = ph, time.Now() }
+// startExpand opens an expand interval (a worker entering a level).
+func (p *phaseProf) startExpand() { p.last = time.Now() }
 
-// to folds the elapsed interval into the current phase and switches to ph.
-func (p *phaseProf) to(ph int) {
-	now := time.Now()
-	p.counters[p.cur].Add(int64(now.Sub(p.last)))
-	p.cur, p.last = ph, now
-}
-
-// flush folds the trailing interval without switching phase (worker-loop
-// exit).
-func (p *phaseProf) flush() { p.to(p.cur) }
+// stopExpand folds the open expand interval into the expand counter (a
+// worker leaving a level).
+func (p *phaseProf) stopExpand() { p.expand.Add(int64(time.Since(p.last))) }
 
 // noteSample records one fine-sampled state's end-to-end expansion time.
 func (p *phaseProf) noteSample(d time.Duration) {
@@ -89,11 +71,8 @@ func (p *phaseProf) noteSample(d time.Duration) {
 // phases excluded; collectPhases adds those to the aggregate only).
 func (p *phaseProf) snapshot() obs.Phases {
 	return obs.Phases{
-		ExpandNs:       p.counters[phExpand].Load(),
-		BarrierWaitNs:  p.counters[phBarrier].Load(),
-		StealNs:        p.counters[phSteal].Load(),
-		HandoffNs:      p.counters[phHandoff].Load(),
-		IdleNs:         p.counters[phIdle].Load(),
+		ExpandNs:       p.expand.Load(),
+		BarrierWaitNs:  p.barrier.Load(),
 		SampledStates:  p.sampled.Load(),
 		SampleExpandNs: p.sampleExpand.Load(),
 		SampleCanonNs:  p.sampleCanon.Load(),
@@ -110,7 +89,7 @@ func waitBarrier(p *phaseProf, wg *sync.WaitGroup) {
 	}
 	t := time.Now()
 	wg.Wait()
-	p.counters[phBarrier].Add(int64(time.Since(t)))
+	p.barrier.Add(int64(time.Since(t)))
 }
 
 // profiled reports whether this run records phases.

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// This file is the successor record both schedulers share: each worker
+// This file is the successor record: each worker
 // appends its expansions' transitions to its own chunked, pointer-free
 // rawEdge record, a paged span table maps every provisional id to the
 // slice of a worker's record holding its successors, and the replay pass
@@ -32,10 +32,7 @@ type span struct {
 
 // edgeChunkBits sizes the chunks of a worker's successor record (2^16
 // rawEdges). Chunks are fixed-capacity and never reallocate: a full record
-// grows by one chunk, not by copying, and a *int32 into a chunk's "to"
-// field stays valid for the whole run — that is what lets the free-running
-// scheduler record a forwarded edge immediately and have the owning worker
-// resolve its successor id through the pointer later.
+// grows by one chunk, not by copying.
 const (
 	edgeChunkBits = 16
 	edgeChunkCap  = 1 << edgeChunkBits
@@ -71,10 +68,8 @@ func (t *labelTable) text(id int32) string {
 	return t.strs[id]
 }
 
-// appendEdge records one transition and returns a stable pointer to its
-// "to" field (the free-running scheduler resolves forwarded successors
-// through it).
-func (w *worker[S]) appendEdge(to int32, actor int, label string) *int32 {
+// appendEdge records one transition.
+func (w *worker[S]) appendEdge(to int32, actor int, label string) {
 	i := w.edges & (edgeChunkCap - 1)
 	if i == 0 {
 		w.cur = make([]rawEdge, edgeChunkCap)
@@ -82,7 +77,6 @@ func (w *worker[S]) appendEdge(to int32, actor int, label string) *int32 {
 	}
 	w.cur[i] = rawEdge{to: to, actor: int32(actor), label: w.labelID(label)}
 	w.edges++
-	return &w.cur[i].to
 }
 
 // labelID resolves label to its run-wide id, through the worker's cache.
@@ -102,13 +96,9 @@ const (
 )
 
 // spanPage is one pagedSpans page: the spans of spanPageCap consecutive
-// provisional ids, plus (under a canonicalizer) the per-state count of
-// canonicalizer remaps its expansion performed — the levelized telemetry
-// synthesis needs that count per level, and the expander is the only one
-// who knows it.
+// provisional ids.
 type spanPage struct {
 	sp []span
-	cd []int32
 }
 
 // pagedSpans is the span table, indexed by provisional id: a two-level
@@ -116,19 +106,16 @@ type spanPage struct {
 // barriers, and that grows by whole pages instead of by copying. Pages are
 // created under a mutex and published atomically (the pagetab pattern);
 // span writes within a page go to distinct indices (each id is expanded by
-// exactly one worker) and are read only after a level barrier or the
-// termination join, whose happens-before edge covers them. A span with
-// worker == -1 marks an unexpanded id. The per-state canon-remap deltas
-// are kept only when canon is set (free-running discovery under a
-// canonicalizer).
+// exactly one worker) and are read only after a level barrier, whose
+// happens-before edge covers them. A span with worker == -1 marks an
+// unexpanded id.
 type pagedSpans struct {
 	mu    sync.Mutex
 	spine atomic.Pointer[[]atomic.Pointer[spanPage]]
-	canon bool
 }
 
-func newPagedSpans(canon bool) *pagedSpans {
-	ps := &pagedSpans{canon: canon}
+func newPagedSpans() *pagedSpans {
+	ps := &pagedSpans{}
 	spine := make([]atomic.Pointer[spanPage], 0)
 	ps.spine.Store(&spine)
 	return ps
@@ -165,41 +152,28 @@ func (ps *pagedSpans) grow(pi int) *spanPage {
 	for i := range pg.sp {
 		pg.sp[i].worker = -1
 	}
-	if ps.canon {
-		pg.cd = make([]int32, spanPageCap)
-	}
 	spine[pi].Store(pg)
 	return pg
 }
 
-func (ps *pagedSpans) set(id int32, sp span, cdelta int32) {
-	pg := ps.page(int(id) >> spanPageBits)
-	i := int(id) & (spanPageCap - 1)
-	pg.sp[i] = sp
-	if pg.cd != nil {
-		pg.cd[i] = cdelta
-	}
+func (ps *pagedSpans) set(id int32, sp span) {
+	ps.page(int(id) >> spanPageBits).sp[int(id)&(spanPageCap-1)] = sp
 }
 
-// get returns the recorded span and canon-remap delta of id; a span with
-// worker == -1 (also returned for ids whose page was never created) means
-// the id was interned but not expanded.
-func (ps *pagedSpans) get(id int32) (span, int32) {
+// get returns the recorded span of id; a span with worker == -1 (also
+// returned for ids whose page was never created) means the id was
+// interned but not expanded.
+func (ps *pagedSpans) get(id int32) span {
 	spine := *ps.spine.Load()
 	pi := int(id) >> spanPageBits
 	if pi >= len(spine) {
-		return span{worker: -1}, 0
+		return span{worker: -1}
 	}
 	pg := spine[pi].Load()
 	if pg == nil {
-		return span{worker: -1}, 0
+		return span{worker: -1}
 	}
-	i := int(id) & (spanPageCap - 1)
-	var cd int32
-	if pg.cd != nil {
-		cd = pg.cd[i]
-	}
-	return pg.sp[i], cd
+	return pg.sp[int(id)&(spanPageCap-1)]
 }
 
 // edgeAt reads one rawEdge from a worker's record by global offset.

@@ -12,7 +12,7 @@ import (
 // exploreSequential is the engine-side executable specification of the
 // canonical order: a plain single-threaded BFS over the system's emissions
 // (collected through CollectCtx), with no workers, no successor record and
-// no replay. Every scheduler and store must reproduce its Result.
+// no replay. Every worker count and store must reproduce its Result.
 func exploreSequential[S comparable](inits []S, expand ExpandFunc[S]) *Result[S] {
 	res := &Result[S]{}
 	index := make(map[S]int)
@@ -58,10 +58,8 @@ func exploreSequential[S comparable](inits []S, expand ExpandFunc[S]) *Result[S]
 // holds — land on 3,000 terminal states. The root's span straddles the
 // first chunk boundary of whichever worker expands it, and every other
 // expansion records an empty span. At two workers the second worker
-// expands only terminals and so never allocates a chunk: always under the
-// free-running scheduler (the root sits on the first worker's private,
-// unstealable stack), and whenever it claims any terminals under the
-// level loop.
+// expands only terminals and so never allocates a chunk whenever it
+// claims any terminals.
 func fanExpand(s string, x *Ctx[string]) {
 	if s != "r" {
 		return
@@ -99,9 +97,8 @@ func wideExpand(s string, x *Ctx[string]) {
 
 // TestChunkBoundaryDifferential runs systems whose spans straddle 65,536
 // edge chunk boundaries, and one whose second worker never allocates a
-// chunk, under every record path — barrier, free-running steal, and the
-// steal scheduler's epoch submode (forced by the spill store or by POR);
-// full and POR expansion; mem and spill stores — at one and two workers,
+// chunk, under every record path — full and POR expansion over mem and
+// spill stores — at one and two workers,
 // and requires each Result to equal the sequential BFS byte for byte. The
 // POR arms use an all-dependent relation, so no proper ample set exists
 // and the reduced graph is the full one; they skip the fan system, whose
@@ -118,24 +115,22 @@ func TestChunkBoundaryDifferential(t *testing.T) {
 	}
 	for _, sys := range systems {
 		want := exploreSequential([]string{"r"}, sys.expand)
-		for _, sched := range []string{"barrier", "steal"} {
-			for _, st := range []string{"mem", "spill"} {
-				for _, por := range sys.por {
-					for _, nw := range []int{1, 2} {
-						opts := Options{Sched: sched, Parallelism: nw}
-						if st == "spill" {
-							opts.Store = store.Config{Kind: store.Spill, MaxBytes: 64 << 10, Dir: t.TempDir()}
-						}
-						if por {
-							opts.Independent = allDependent
-						}
-						label := fmt.Sprintf("%s %s/%s por=%v workers=%d", sys.name, sched, st, por, nw)
-						got, err := Explore([]string{"r"}, sys.expand, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						mustEqualResults(t, label, want, got)
+		for _, st := range []string{"mem", "spill"} {
+			for _, por := range sys.por {
+				for _, nw := range []int{1, 2} {
+					opts := Options{Parallelism: nw}
+					if st == "spill" {
+						opts.Store = store.Config{Kind: store.Spill, MaxBytes: 64 << 10, Dir: t.TempDir()}
 					}
+					if por {
+						opts.Independent = allDependent
+					}
+					label := fmt.Sprintf("%s %s por=%v workers=%d", sys.name, st, por, nw)
+					got, err := Explore([]string{"r"}, sys.expand, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					mustEqualResults(t, label, want, got)
 				}
 			}
 		}

@@ -312,10 +312,6 @@ type AnalyzeOptions struct {
 	// backend sets Report.Lossy and downgrades the verdicts — see
 	// Report.Lossy. See store.Config.
 	Store store.Config
-	// Sched selects the exploration scheduler ("barrier" or "steal";
-	// "" = barrier). A performance knob only: the Report is identical
-	// either way. See core.ExploreOptions.Sched.
-	Sched string
 }
 
 // NewSystem exposes a protocol's configuration graph (canonical encoded
@@ -346,7 +342,7 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	eopts := core.ExploreOptions{
 		MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Stats: opts.Stats,
 		Sink: opts.Sink, SnapshotEvery: opts.SnapshotEvery, Store: opts.Store,
-		VerifyAliasing: opts.VerifyAliasing, Sched: opts.Sched,
+		VerifyAliasing: opts.VerifyAliasing,
 	}
 	if opts.Canon != nil {
 		eopts.Canon = opts.Canon

@@ -24,7 +24,7 @@ func analyzeReference(p Protocol, opts AnalyzeOptions) (Report, error) {
 	}
 	eopts := core.ExploreOptions{
 		MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Store: opts.Store,
-		VerifyAliasing: opts.VerifyAliasing, Sched: opts.Sched,
+		VerifyAliasing: opts.VerifyAliasing,
 	}
 	if opts.Canon != nil {
 		eopts.Canon = opts.Canon

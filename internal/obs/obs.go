@@ -39,12 +39,12 @@ import (
 // v1: exploration runs (run_start/level/snapshot/truncated/run_end).
 // v2: adds live-runtime runs (rt_start/rt_event/rt_end) — see RuntimeConfig.
 // v3: phase-attribution profiling — snapshot phases/worker_phases/expand_lat,
-//     store page-cache + segment-latency fields, rt batch_lat, and per-event
-//     elapsed_ns. Purely additive, so v2 readers still parse v3 traces; the
-//     version is bumped deliberately (an exception to the additive rule) so
-//     post-hoc tooling like `hundred report` can tell whether a missing
-//     phase block means "profiling off" (v3) or "producer predates
-//     profiling" (v2).
+// store page-cache + segment-latency fields, rt batch_lat, and per-event
+// elapsed_ns. Purely additive, so v2 readers still parse v3 traces; the
+// version is bumped deliberately (an exception to the additive rule) so
+// post-hoc tooling like `hundred report` can tell whether a missing
+// phase block means "profiling off" (v3) or "producer predates
+// profiling" (v2).
 const SchemaVersion = 3
 
 // EventKind discriminates trace events.
@@ -130,10 +130,6 @@ type RunConfig struct {
 	Store string `json:"store,omitempty"`
 	// MaxStoreBytes is the spill backend's resident-payload budget.
 	MaxStoreBytes int64 `json:"max_store_bytes,omitempty"`
-	// Sched names the discovery scheduler ("barrier" or "steal"; empty in
-	// traces from before the work-stealing scheduler, reads as "barrier").
-	// Scheduling, not structure: excluded from trace digests, like Workers.
-	Sched string `json:"sched,omitempty"`
 }
 
 // Mode names the reduction stack of a run: "full", "canon", "por" or
@@ -192,18 +188,6 @@ type ProgressSnapshot struct {
 	// Final marks the run_end snapshot: totals equal the run's Stats.
 	Final bool `json:"final,omitempty"`
 
-	// Work-stealing scheduler gauges (zero under the barrier scheduler).
-	// Scheduling-dependent, excluded from trace digests.
-
-	// Steals counts work batches taken from another worker's deque.
-	Steals uint64 `json:"steals,omitempty"`
-	// HandoffBatches counts batched frontier forwards between shard-owning
-	// workers.
-	HandoffBatches uint64 `json:"handoff_batches,omitempty"`
-	// QueueOccupancy is the momentary total of states parked in worker
-	// deques (live snapshots only; zero at barriers and run end).
-	QueueOccupancy uint64 `json:"queue_occupancy,omitempty"`
-
 	// State-store telemetry (absent in traces from before the pluggable
 	// store). Spill byte/segment counters depend on page layout, which
 	// depends on scheduling: like WorkerSteps and Elapsed they are NOT
@@ -250,7 +234,7 @@ type ProgressSnapshot struct {
 }
 
 // Phases attributes a run's worker time to coarse engine phases, in
-// nanoseconds. The coarse counters (Expand through Idle) are exact wall
+// nanoseconds. The coarse counters (Expand through Replay) are exact wall
 // time measured at phase transitions; the Sample* counters are a
 // 1-in-64-states sampling profile that splits expansion time into
 // canonicalization and hash+intern without per-emission clock reads —
@@ -272,15 +256,11 @@ type Phases struct {
 	// ReplayNs is the sequential deterministic-replay pass that assigns
 	// final IDs and edges.
 	ReplayNs int64 `json:"replay_ns,omitempty"`
-	// StealNs is work-stealing time: probing and claiming other workers'
-	// deques (steal scheduler only).
-	StealNs int64 `json:"steal_ns,omitempty"`
-	// HandoffNs is time processing cross-shard handoff batches (steal
-	// scheduler only).
+	// HandoffNs and IdleNs are always zero. They were the phases of a
+	// work-stealing scheduler the engine no longer has; the fields stay
+	// so that code reading them still compiles, and no total counts them.
 	HandoffNs int64 `json:"handoff_ns,omitempty"`
-	// IdleNs is time parked waiting for work or termination (steal
-	// scheduler only).
-	IdleNs int64 `json:"idle_ns,omitempty"`
+	IdleNs    int64 `json:"idle_ns,omitempty"`
 
 	// SampledStates counts the states profiled at fine grain (1 in 64).
 	SampledStates uint64 `json:"sampled_states,omitempty"`
@@ -298,9 +278,6 @@ func (p *Phases) Add(o Phases) {
 	p.BarrierWaitNs += o.BarrierWaitNs
 	p.StoreIONs += o.StoreIONs
 	p.ReplayNs += o.ReplayNs
-	p.StealNs += o.StealNs
-	p.HandoffNs += o.HandoffNs
-	p.IdleNs += o.IdleNs
 	p.SampledStates += o.SampledStates
 	p.SampleExpandNs += o.SampleExpandNs
 	p.SampleCanonNs += o.SampleCanonNs
@@ -312,8 +289,7 @@ func (p Phases) Zero() bool { return p == Phases{} }
 
 // TotalNs is the sum of the exact (non-sampled) phase counters.
 func (p Phases) TotalNs() int64 {
-	return p.ExpandNs + p.BarrierWaitNs + p.StoreIONs + p.ReplayNs +
-		p.StealNs + p.HandoffNs + p.IdleNs
+	return p.ExpandNs + p.BarrierWaitNs + p.StoreIONs + p.ReplayNs
 }
 
 // CanonFrac estimates the fraction of expansion time spent canonicalizing,
@@ -351,9 +327,6 @@ func (p Phases) String() string {
 	frac("barrier", p.BarrierWaitNs)
 	frac("store_io", p.StoreIONs)
 	frac("replay", p.ReplayNs)
-	frac("steal", p.StealNs)
-	frac("handoff", p.HandoffNs)
-	frac("idle", p.IdleNs)
 	if p.SampledStates > 0 {
 		fmt.Fprintf(&b, " ~canon=%.0f%% ~intern=%.0f%% (n=%d sampled)",
 			100*p.CanonFrac(), 100*p.InternFrac(), p.SampledStates)

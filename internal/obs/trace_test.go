@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -333,5 +335,43 @@ func TestLoggerOutput(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("logger output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestValidateTraceAcceptsStealSchedulerTrace reads a trace written when
+// the engine still had a work-stealing scheduler (`bivalence -proto
+// wait-quorum -n 4 -resilience 0 -parallel 2 -sched steal
+// -snapshot-every 20ms -trace`). Its manifest and run config carry
+// "sched", and its snapshots carry "steals", "handoff_batches" and
+// "queue_occupancy" — fields the schema has since dropped. Every line is
+// verbatim from that run except the 17 level events, which are left out:
+// that scheduler stamped its synthesized level events with the run's
+// final worker steps, so they never linted clean even when written.
+// Consumers ignore unknown fields, so the rest must still read, lint
+// clean and reproduce its digest.
+func TestValidateTraceAcceptsStealSchedulerTrace(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "steal-sched-trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"sched":"steal"`, `"steals":`, `"handoff_batches":`, `"queue_occupancy":`} {
+		if !bytes.Contains(data, []byte(field)) {
+			t.Fatalf("fixture lacks %s; it no longer exercises the removed fields", field)
+		}
+	}
+	if _, evs, err := ReadTrace(bytes.NewReader(data)); err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	} else if len(evs) != 25 {
+		t.Fatalf("ReadTrace returned %d events, want 25", len(evs))
+	}
+	sum, err := ValidateTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ValidateTrace rejected the trace: %v", err)
+	}
+	if sum.Runs != 1 || sum.Snapshots != 23 || len(sum.FinalStates) != 1 {
+		t.Fatalf("summary = %+v, want one run with 23 snapshots", sum)
+	}
+	if sum.Digest != "14dc0c22ca0f0cf1" {
+		t.Fatalf("digest = %s, want 14dc0c22ca0f0cf1", sum.Digest)
 	}
 }

@@ -317,10 +317,6 @@ type CheckMutexOptions struct {
 	// universally-quantified verdicts become "no violation found"; check
 	// Stats.Lossy.
 	Store store.Config
-	// Sched selects the exploration scheduler ("barrier" or "steal";
-	// "" = barrier) — see core.ExploreOptions.Sched. The report is
-	// identical either way.
-	Sched string
 }
 
 // CheckMutex model-checks the resource-allocation correctness conditions
@@ -334,7 +330,6 @@ func CheckMutex(alg Algorithm, opts CheckMutexOptions) (MutexReport, error) {
 	g, err := ExploreWith(alg, core.ExploreOptions{
 		MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Stats: opts.Stats,
 		Sink: opts.Sink, SnapshotEvery: opts.SnapshotEvery, Store: opts.Store,
-		Sched: opts.Sched,
 	})
 	if err != nil {
 		return rep, err

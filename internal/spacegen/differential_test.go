@@ -52,9 +52,8 @@ func TestDifferentialOracle(t *testing.T) {
 
 // TestDifferentialChainOracle covers the deep-narrow chain topology: the
 // regime where the barrier scheduler degenerates to sequential execution
-// and the steal scheduler's handoff/termination machinery carries all the
-// load. Every space runs the full oracle (which sweeps both schedulers at
-// every worker count) against the closed-form chain truth; one deep braid
+// on most levels. Every space runs the full oracle (every mode at every
+// worker count) against the closed-form chain truth; one deep braid
 // additionally runs the acceptance worker grid 1/2/8/16.
 func TestDifferentialChainOracle(t *testing.T) {
 	shapes := []Config{
