@@ -156,7 +156,7 @@ func (g *Graph[S]) Decider(v *ValenceInfo) (int, bool) {
 		}
 		all := true
 		for _, e := range g.edges[i] {
-			if !v.IsUnivalent(e.To) {
+			if !v.IsUnivalent(int(e.To)) {
 				all = false
 				break
 			}
@@ -207,11 +207,11 @@ func (g *Graph[S]) CheckLeadsTo(premise, goal func(S) bool, fair Fairness, numAc
 	}
 	// H = states reachable from a premise state without entering goal.
 	inH := make([]bool, n)
-	var stack []int
+	var stack []int32
 	for i, s := range g.states {
 		if premise(s) && !goalSet[i] && !inH[i] {
 			inH[i] = true
-			stack = append(stack, i)
+			stack = append(stack, int32(i))
 		}
 	}
 	for len(stack) > 0 {
@@ -250,18 +250,18 @@ func (g *Graph[S]) FairLassoWithin(allowed func(int) bool, fair Fairness, numAct
 // allowed admits every state.
 func (g *Graph[S]) ReachableWithin(roots []int, allowed func(int) bool) []bool {
 	in := make([]bool, len(g.states))
-	var stack []int
+	var stack []int32
 	for _, i := range roots {
 		if !in[i] && (allowed == nil || allowed(i)) {
 			in[i] = true
-			stack = append(stack, i)
+			stack = append(stack, int32(i))
 		}
 	}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range g.edges[i] {
-			if !in[e.To] && (allowed == nil || allowed(e.To)) {
+			if !in[e.To] && (allowed == nil || allowed(int(e.To))) {
 				in[e.To] = true
 				stack = append(stack, e.To)
 			}
@@ -275,39 +275,57 @@ func (g *Graph[S]) ReachableWithin(roots []int, allowed func(int) bool) []bool {
 // component if either a takes some edge of the component or a is disabled
 // (in the whole graph) at some state of the component.
 func (g *Graph[S]) fairCycleWithin(inH []bool, fair Fairness, numActors int) (Lasso, bool) {
-	comps := g.sccsWithin(inH)
-	for _, comp := range comps {
-		if !g.sccHasInternalEdge(comp, inH) {
+	sc := g.sccsWithin(inH)
+	for c := int32(0); int(c) < len(sc.start)-1; c++ {
+		members := sc.members[sc.start[c]:sc.start[c+1]]
+		if !g.sccHasInternalEdge(members, sc.comp, c) {
 			continue
 		}
-		if fair == WeakFairness && !g.sccIsWeaklyFair(comp, inH, numActors) {
+		if fair == WeakFairness && !g.sccIsWeaklyFair(members, sc.comp, c, numActors) {
 			continue
 		}
-		cycle, entry := g.buildFairCycle(comp, inH, fair, numActors)
+		cycle, entry := g.buildFairCycle(members, sc.comp, c, fair, numActors)
 		return Lasso{Prefix: g.PathTo(entry), Cycle: cycle, Entry: entry}, true
 	}
 	return Lasso{}, false
 }
 
+// sccs is a strongly-connected-component decomposition, held in three flat
+// arrays so that its allocation count does not grow with the number of
+// components.
+type sccs struct {
+	// comp[i] is the component of state i; -1 for states outside the
+	// decomposed subgraph.
+	comp []int32
+	// members lists the states component by component, each component in
+	// the order Tarjan's algorithm pops it off its stack; components are
+	// numbered in completion order.
+	members []int32
+	// start[c] is the offset of component c in members; the last entry is
+	// len(members).
+	start []int32
+}
+
 // sccsWithin computes strongly connected components of the subgraph
-// induced by inH, using an iterative Tarjan algorithm.
-func (g *Graph[S]) sccsWithin(inH []bool) [][]int {
+// induced by inH, using an iterative Tarjan algorithm. A visited state is
+// on Tarjan's stack exactly while it has no component yet.
+func (g *Graph[S]) sccsWithin(inH []bool) sccs {
 	n := len(g.states)
 	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
+	index := make([]int32, n)
+	low := make([]int32, n)
+	sc := sccs{comp: make([]int32, n), start: []int32{0}}
 	for i := range index {
 		index[i] = unvisited
+		sc.comp[i] = -1
 	}
 	var (
-		counter  int
-		stack    []int
-		comps    [][]int
-		callFrom []int // DFS stack of states
-		callEdge []int // per-frame next-edge cursor
+		counter  int32
+		stack    []int32
+		callFrom []int32 // DFS stack of states
+		callEdge []int32 // per-frame next-edge cursor
 	)
-	for root := 0; root < n; root++ {
+	for root := int32(0); int(root) < n; root++ {
 		if !inH[root] || index[root] != unvisited {
 			continue
 		}
@@ -317,12 +335,11 @@ func (g *Graph[S]) sccsWithin(inH []bool) [][]int {
 		low[root] = counter
 		counter++
 		stack = append(stack, root)
-		onStack[root] = true
 		for len(callFrom) > 0 {
 			v := callFrom[len(callFrom)-1]
 			ei := callEdge[len(callEdge)-1]
 			advanced := false
-			for ; ei < len(g.edges[v]); ei++ {
+			for ; int(ei) < len(g.edges[v]); ei++ {
 				w := g.edges[v][ei].To
 				if !inH[w] {
 					continue
@@ -333,12 +350,11 @@ func (g *Graph[S]) sccsWithin(inH []bool) [][]int {
 					low[w] = counter
 					counter++
 					stack = append(stack, w)
-					onStack[w] = true
 					callFrom = append(callFrom, w)
 					callEdge = append(callEdge, 0)
 					advanced = true
 					break
-				} else if onStack[w] && index[w] < low[v] {
+				} else if sc.comp[w] < 0 && index[w] < low[v] {
 					low[v] = index[w]
 				}
 			}
@@ -355,33 +371,30 @@ func (g *Graph[S]) sccsWithin(inH []bool) [][]int {
 				}
 			}
 			if low[v] == index[v] {
-				var comp []int
+				c := int32(len(sc.start) - 1)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
+					sc.comp[w] = c
+					sc.members = append(sc.members, w)
 					if w == v {
 						break
 					}
 				}
-				comps = append(comps, comp)
+				sc.start = append(sc.start, int32(len(sc.members)))
 			}
 		}
 	}
-	return comps
+	return sc
 }
 
-// sccHasInternalEdge reports whether comp contains at least one edge
-// (so that a cycle exists; single states without self-loops do not count).
-func (g *Graph[S]) sccHasInternalEdge(comp []int, inH []bool) bool {
-	inComp := make(map[int]bool, len(comp))
-	for _, i := range comp {
-		inComp[i] = true
-	}
-	for _, i := range comp {
+// sccHasInternalEdge reports whether component c, whose states are
+// members, contains at least one edge (so that a cycle exists; single
+// states without self-loops do not count).
+func (g *Graph[S]) sccHasInternalEdge(members, comp []int32, c int32) bool {
+	for _, i := range members {
 		for _, e := range g.edges[i] {
-			if inH[e.To] && inComp[e.To] {
+			if comp[e.To] == c {
 				return true
 			}
 		}
@@ -389,24 +402,20 @@ func (g *Graph[S]) sccHasInternalEdge(comp []int, inH []bool) bool {
 	return false
 }
 
-// sccIsWeaklyFair reports whether an infinite execution confined to comp
-// can satisfy weak fairness for actors 0..numActors-1: each actor either
-// takes an internal edge of comp or is disabled somewhere in comp.
-func (g *Graph[S]) sccIsWeaklyFair(comp []int, inH []bool, numActors int) bool {
-	inComp := make(map[int]bool, len(comp))
-	for _, i := range comp {
-		inComp[i] = true
-	}
-	for a := 0; a < numActors; a++ {
+// sccIsWeaklyFair reports whether an infinite execution confined to
+// component c can satisfy weak fairness for actors 0..numActors-1: each
+// actor either takes an internal edge of c or is disabled somewhere in c.
+func (g *Graph[S]) sccIsWeaklyFair(members, comp []int32, c int32, numActors int) bool {
+	for a := int32(0); int(a) < numActors; a++ {
 		satisfied := false
-		for _, i := range comp {
+		for _, i := range members {
 			enabledHere := false
 			for _, e := range g.edges[i] {
 				if e.Actor != a {
 					continue
 				}
 				enabledHere = true
-				if inH[e.To] && inComp[e.To] {
+				if comp[e.To] == c {
 					satisfied = true // actor a takes a step inside the SCC
 					break
 				}
@@ -426,16 +435,11 @@ func (g *Graph[S]) sccIsWeaklyFair(comp []int, inH []bool, numActors int) bool {
 	return true
 }
 
-// buildFairCycle constructs an explicit cycle within comp that, under weak
-// fairness, discharges every actor's obligation: for each actor that is
-// enabled throughout the component, the cycle includes one of its steps.
-func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActors int) (Trace, int) {
-	inComp := make(map[int]bool, len(comp))
-	for _, i := range comp {
-		inComp[i] = true
-	}
-	internal := func(from int, e edge) bool { return inH[e.To] && inComp[e.To] }
-
+// buildFairCycle constructs an explicit cycle within component c that,
+// under weak fairness, discharges every actor's obligation: for each actor
+// that is enabled throughout the component, the cycle includes one of its
+// steps.
+func (g *Graph[S]) buildFairCycle(members, comp []int32, c int32, fair Fairness, numActors int) (Trace, int) {
 	// Choose must-visit edges: one internal edge per actor that takes
 	// internal steps in the component (under weak fairness only).
 	type mustEdge struct {
@@ -444,12 +448,12 @@ func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActo
 	}
 	var musts []mustEdge
 	if fair == WeakFairness {
-		for a := 0; a < numActors; a++ {
+		for a := int32(0); int(a) < numActors; a++ {
 			found := false
-			for _, i := range comp {
+			for _, i := range members {
 				for _, e := range g.edges[i] {
-					if e.Actor == a && internal(i, e) {
-						musts = append(musts, mustEdge{from: i, e: e})
+					if e.Actor == a && comp[e.To] == c {
+						musts = append(musts, mustEdge{from: int(i), e: e})
 						found = true
 						break
 					}
@@ -461,21 +465,21 @@ func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActo
 		}
 	}
 	// Pick a deterministic entry.
-	entry := comp[0]
-	for _, i := range comp {
-		if i < entry {
-			entry = i
+	entry := int(members[0])
+	for _, i := range members {
+		if int(i) < entry {
+			entry = int(i)
 		}
 	}
 	if len(musts) == 0 {
 		// Any simple cycle through entry.
-		if path, ok := g.pathWithin(entry, entry, inComp, inH, true); ok {
+		if path, ok := g.pathWithin(entry, entry, comp, c, true); ok {
 			return path, entry
 		}
 		// entry may not be on a cycle itself; fall back to first edge-bearing state.
-		for _, i := range comp {
-			if path, ok := g.pathWithin(i, i, inComp, inH, true); ok {
-				return path, i
+		for _, i := range members {
+			if path, ok := g.pathWithin(int(i), int(i), comp, c, true); ok {
+				return path, int(i)
 			}
 		}
 		return nil, entry
@@ -485,24 +489,24 @@ func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActo
 	var cycle Trace
 	cur := entry
 	for _, m := range musts {
-		seg, ok := g.pathWithin(cur, m.from, inComp, inH, false)
+		seg, ok := g.pathWithin(cur, m.from, comp, c, false)
 		if !ok {
 			continue
 		}
 		cycle = append(cycle, seg...)
-		cycle = append(cycle, TraceEvent{Label: m.e.Label, Actor: m.e.Actor})
-		cur = m.e.To
+		cycle = append(cycle, g.event(m.e))
+		cur = int(m.e.To)
 	}
-	seg, ok := g.pathWithin(cur, entry, inComp, inH, cur == entry)
+	seg, ok := g.pathWithin(cur, entry, comp, c, cur == entry)
 	if ok {
 		cycle = append(cycle, seg...)
 	}
 	return cycle, entry
 }
 
-// pathWithin finds a path from src to dst confined to the component. When
+// pathWithin finds a path from src to dst confined to component c. When
 // src == dst and forceMove is true it finds a nonempty cycle.
-func (g *Graph[S]) pathWithin(src, dst int, inComp map[int]bool, inH []bool, forceMove bool) (Trace, bool) {
+func (g *Graph[S]) pathWithin(src, dst int, comp []int32, c int32, forceMove bool) (Trace, bool) {
 	if src == dst && !forceMove {
 		return nil, true
 	}
@@ -514,29 +518,29 @@ func (g *Graph[S]) pathWithin(src, dst int, inComp map[int]bool, inH []bool, for
 	queue := []int{}
 	// Seed with successors of src so that cycles of length >= 1 are found.
 	for _, e := range g.edges[src] {
-		if inH[e.To] && inComp[e.To] {
-			if e.To == dst {
-				return Trace{{Label: e.Label, Actor: e.Actor}}, true
+		if comp[e.To] == c {
+			if int(e.To) == dst {
+				return Trace{g.event(e)}, true
 			}
-			if _, seen := visited[e.To]; !seen {
-				visited[e.To] = pv{prev: src, e: e}
-				queue = append(queue, e.To)
+			if _, seen := visited[int(e.To)]; !seen {
+				visited[int(e.To)] = pv{prev: src, e: e}
+				queue = append(queue, int(e.To))
 			}
 		}
 	}
 	for head := 0; head < len(queue); head++ {
 		i := queue[head]
 		for _, e := range g.edges[i] {
-			if !inH[e.To] || !inComp[e.To] {
+			if comp[e.To] != c {
 				continue
 			}
-			if e.To == dst {
+			if int(e.To) == dst {
 				var rev []TraceEvent
-				rev = append(rev, TraceEvent{Label: e.Label, Actor: e.Actor})
+				rev = append(rev, g.event(e))
 				cur := i
 				for cur != src {
 					p := visited[cur]
-					rev = append(rev, TraceEvent{Label: p.e.Label, Actor: p.e.Actor})
+					rev = append(rev, g.event(p.e))
 					cur = p.prev
 				}
 				out := make(Trace, len(rev))
@@ -545,9 +549,9 @@ func (g *Graph[S]) pathWithin(src, dst int, inComp map[int]bool, inH []bool, for
 				}
 				return out, true
 			}
-			if _, seen := visited[e.To]; !seen {
-				visited[e.To] = pv{prev: i, e: e}
-				queue = append(queue, e.To)
+			if _, seen := visited[int(e.To)]; !seen {
+				visited[int(e.To)] = pv{prev: i, e: e}
+				queue = append(queue, int(e.To))
 			}
 		}
 	}

@@ -18,7 +18,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -80,7 +82,8 @@ type ScratchSystem[S comparable] interface {
 // exceeds the configured bound before exploration completes.
 var ErrStateLimit = errors.New("core: state limit exceeded during exploration")
 
-// edge is the interned form of a Step. It is the engine's canonical edge
+// edge is the interned form of a Step: int32 successor id and actor, and
+// an index into the Graph's label table. It is the engine's canonical edge
 // type, aliased so that parallel exploration results are adopted into a
 // Graph without copying.
 type edge = engine.Edge
@@ -97,9 +100,12 @@ type Graph[S comparable] struct {
 	index     map[S]int
 	indexOnce sync.Once
 	edges     [][]edge
+	// labels is the label table edge.Label indexes, in first-use order over
+	// the BFS edge order (the engine's Result.Labels).
+	labels []string
 	// parent[i] is the state that first reached state i during BFS, used
 	// to reconstruct shortest witness paths; -1 for initial states.
-	parent     []int
+	parent     []int32
 	parentEdge []edge
 	inits      []int
 }
@@ -197,6 +203,10 @@ func Explore[S comparable](sys System[S], opts ExploreOptions) (*Graph[S], error
 	if limit <= 0 {
 		limit = DefaultMaxStates
 	}
+	if limit > math.MaxInt32-2 {
+		// State ids are int32.
+		limit = math.MaxInt32 - 2
+	}
 	par := opts.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -256,6 +266,7 @@ func adoptResult[S comparable](res *engine.Result[S]) *Graph[S] {
 	return &Graph[S]{
 		states:     res.States,
 		edges:      res.Edges,
+		labels:     res.Labels,
 		parent:     res.Parents,
 		parentEdge: res.ParentEdges,
 		inits:      res.Inits,
@@ -280,6 +291,18 @@ func exploreSequential[S comparable](sys System[S], limit int) (*Graph[S], error
 		g.parentEdge = append(g.parentEdge, edge{})
 		return id, true
 	}
+	// Labels are numbered in first-use order over the BFS edge order, as
+	// the engine's replay numbers them.
+	labelIDs := make(map[string]int32)
+	labelID := func(label string) int32 {
+		id, ok := labelIDs[label]
+		if !ok {
+			id = int32(len(g.labels))
+			labelIDs[label] = id
+			g.labels = append(g.labels, label)
+		}
+		return id
+	}
 	queue := make([]int, 0, 1024)
 	for _, s := range sys.Init() {
 		id, fresh := intern(s)
@@ -296,16 +319,18 @@ func exploreSequential[S comparable](sys System[S], limit int) (*Graph[S], error
 		steps := sys.Steps(g.states[id])
 		out := make([]edge, 0, len(steps))
 		for _, st := range steps {
+			lid := labelID(st.Label)
 			tid, fresh := intern(st.To)
+			e := edge{To: int32(tid), Actor: int32(st.Actor), Label: lid}
 			if fresh {
 				if len(g.states) > limit {
 					return g, fmt.Errorf("%w: limit %d", ErrStateLimit, limit)
 				}
-				g.parent[tid] = id
-				g.parentEdge[tid] = edge{To: tid, Label: st.Label, Actor: st.Actor}
+				g.parent[tid] = int32(id)
+				g.parentEdge[tid] = e
 				queue = append(queue, tid)
 			}
-			out = append(out, edge{To: tid, Label: st.Label, Actor: st.Actor})
+			out = append(out, e)
 		}
 		g.edges[id] = out
 	}
@@ -360,9 +385,19 @@ func (g *Graph[S]) Successors(i int) []Step[S] {
 	es := g.edges[i]
 	out := make([]Step[S], len(es))
 	for k, e := range es {
-		out[k] = Step[S]{To: g.states[e.To], Label: e.Label, Actor: e.Actor}
+		out[k] = g.step(e)
 	}
 	return out
+}
+
+// step resolves an edge into the Step it records.
+func (g *Graph[S]) step(e edge) Step[S] {
+	return Step[S]{To: g.states[e.To], Label: g.labels[e.Label], Actor: int(e.Actor)}
+}
+
+// event resolves an edge into the trace event it records.
+func (g *Graph[S]) event(e edge) TraceEvent {
+	return TraceEvent{Label: g.labels[e.Label], Actor: int(e.Actor)}
 }
 
 // IsTerminal reports whether state id i has no outgoing transitions.
@@ -370,7 +405,7 @@ func (g *Graph[S]) IsTerminal(i int) bool { return len(g.edges[i]) == 0 }
 
 // Parent returns the id of the state that first reached state i during
 // BFS, or -1 for initial states.
-func (g *Graph[S]) Parent(i int) int { return g.parent[i] }
+func (g *Graph[S]) Parent(i int) int { return int(g.parent[i]) }
 
 // ParentStep returns the step by which Parent(i) first reached state i.
 // For initial states it returns the zero Step.
@@ -378,8 +413,7 @@ func (g *Graph[S]) ParentStep(i int) Step[S] {
 	if g.parent[i] < 0 {
 		return Step[S]{}
 	}
-	pe := g.parentEdge[i]
-	return Step[S]{To: g.states[pe.To], Label: pe.Label, Actor: pe.Actor}
+	return g.step(g.parentEdge[i])
 }
 
 // TraceEvent is one step of a witness execution.
@@ -395,27 +429,26 @@ type Trace []TraceEvent
 
 // String renders the trace one event per line.
 func (t Trace) String() string {
-	out := ""
+	var b strings.Builder
 	for i, ev := range t {
 		if i > 0 {
-			out += "\n"
+			b.WriteByte('\n')
 		}
 		if ev.Actor == EnvironmentActor {
-			out += fmt.Sprintf("%3d. [env] %s", i+1, ev.Label)
+			fmt.Fprintf(&b, "%3d. [env] %s", i+1, ev.Label)
 		} else {
-			out += fmt.Sprintf("%3d. p%-3d %s", i+1, ev.Actor, ev.Label)
+			fmt.Fprintf(&b, "%3d. p%-3d %s", i+1, ev.Actor, ev.Label)
 		}
 	}
-	return out
+	return b.String()
 }
 
 // PathTo reconstructs the BFS-shortest trace from an initial state to
 // state id i.
 func (g *Graph[S]) PathTo(i int) Trace {
 	var rev []TraceEvent
-	for cur := i; g.parent[cur] != -1; cur = g.parent[cur] {
-		pe := g.parentEdge[cur]
-		rev = append(rev, TraceEvent{Label: pe.Label, Actor: pe.Actor})
+	for cur := int32(i); g.parent[cur] != -1; cur = g.parent[cur] {
+		rev = append(rev, g.event(g.parentEdge[cur]))
 	}
 	out := make(Trace, len(rev))
 	for k := range rev {

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -340,6 +342,48 @@ func TestTraceString(t *testing.T) {
 	}
 }
 
+// TestTraceStringGolden pins the rendering byte for byte: the step number
+// right-aligned in three columns, then "[env]" or the actor padded to
+// "p" plus three columns, then the label; no trailing newline.
+func TestTraceStringGolden(t *testing.T) {
+	tr := Trace{
+		{Label: "send 0>1:v0", Actor: 0},
+		{Label: "deliver 0>1:v0", Actor: EnvironmentActor},
+		{Label: "decide 1", Actor: 12},
+		{Label: "crash p3", Actor: EnvironmentActor},
+		{Label: "", Actor: 1234},
+	}
+	want := "  1. p0   send 0>1:v0\n" +
+		"  2. [env] deliver 0>1:v0\n" +
+		"  3. p12  decide 1\n" +
+		"  4. [env] crash p3\n" +
+		"  5. p1234 "
+	if got := tr.String(); got != want {
+		t.Fatalf("rendering:\n%q\nwant\n%q", got, want)
+	}
+	if got := (Trace{}).String(); got != "" {
+		t.Fatalf("empty trace renders %q", got)
+	}
+}
+
+// TestTraceStringLinear renders a 100,000-event trace, longer than the
+// deepest BFS witness paths of the chain workloads; a renderer quadratic
+// in the trace length takes minutes here.
+func TestTraceStringLinear(t *testing.T) {
+	tr := make(Trace, 100_000)
+	for i := range tr {
+		tr[i] = TraceEvent{Label: "deliver 0>1:v0", Actor: i%3 - 1}
+	}
+	start := time.Now()
+	s := tr.String()
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("rendering 100,000 events took %v", el)
+	}
+	if n := strings.Count(s, "\n"); n != len(tr)-1 {
+		t.Fatalf("%d lines, want %d", n+1, len(tr))
+	}
+}
+
 func TestFairnessString(t *testing.T) {
 	if WeakFairness.String() != "weak-fairness" || NoFairness.String() != "no-fairness" {
 		t.Fatal("unexpected Fairness string values")
@@ -367,8 +411,8 @@ func TestNullvalent(t *testing.T) {
 }
 
 // graphsIdentical compares every canonical facet of two graphs: state
-// numbering, initials, edge lists (with order), parent tree and parent
-// steps.
+// numbering, initials, label table, edge lists (with order), parent tree
+// and parent steps.
 func graphsIdentical[S comparable](t *testing.T, label string, a, b *Graph[S]) {
 	t.Helper()
 	if a.Len() != b.Len() {
@@ -382,6 +426,9 @@ func graphsIdentical[S comparable](t *testing.T, label string, a, b *Graph[S]) {
 		if ai[k] != bi[k] {
 			t.Fatalf("%s: initials %v vs %v", label, ai, bi)
 		}
+	}
+	if !reflect.DeepEqual(a.labels, b.labels) {
+		t.Fatalf("%s: label tables %q vs %q", label, a.labels, b.labels)
 	}
 	for i := 0; i < a.Len(); i++ {
 		if a.State(i) != b.State(i) {
@@ -444,4 +491,98 @@ func TestTruncationReturnsPartialGraph(t *testing.T) {
 		t.Fatalf("parallel err = %v, want ErrStateLimit", err)
 	}
 	graphsIdentical(t, "truncated", seq, par)
+}
+
+// latticeSys is an n×n lattice walk over ids y*n+x. Its labels repeat with
+// short, different periods along the two axes, so the label table's
+// first-use order depends on the BFS edge order; the upward steps are
+// environment steps.
+type latticeSys struct{ n int }
+
+func (l latticeSys) Init() []int { return []int{0} }
+
+func (l latticeSys) Steps(s int) []Step[int] {
+	x, y := s%l.n, s/l.n
+	var out []Step[int]
+	if x+1 < l.n {
+		out = append(out, Step[int]{To: s + 1, Label: fmt.Sprintf("right%d", (x+y)%4), Actor: y % 3})
+	}
+	if y+1 < l.n {
+		out = append(out, Step[int]{To: s + l.n, Label: fmt.Sprintf("up%d", x%3), Actor: EnvironmentActor})
+	}
+	return out
+}
+
+// TestLabelTablesMatchAcrossExplorers: the sequential explorer and the
+// engine number labels identically, on complete and on truncated graphs,
+// at every worker count.
+func TestLabelTablesMatchAcrossExplorers(t *testing.T) {
+	for _, limit := range []int{0, 7, 20} {
+		seq, err := Explore[int](latticeSys{n: 8}, ExploreOptions{Parallelism: 1, MaxStates: limit})
+		if limit > 0 && !errors.Is(err, ErrStateLimit) || limit == 0 && err != nil {
+			t.Fatalf("limit %d sequential: %v", limit, err)
+		}
+		if len(seq.labels) < 2 {
+			t.Fatalf("limit %d: label table %q is too small to test", limit, seq.labels)
+		}
+		for _, par := range []int{1, 2, 8} {
+			var st engine.Stats
+			got, err := Explore[int](latticeSys{n: 8}, ExploreOptions{Parallelism: par, Stats: &st, MaxStates: limit})
+			if limit > 0 && !errors.Is(err, ErrStateLimit) || limit == 0 && err != nil {
+				t.Fatalf("limit %d par %d: %v", limit, par, err)
+			}
+			graphsIdentical(t, fmt.Sprintf("limit %d par %d", limit, par), seq, got)
+		}
+	}
+}
+
+// TestTruncatedPathsResolveLabels checks PathTo and ParentStep on a
+// truncated graph against the system itself: each parent step is the
+// first step of the parent's expansion that reaches the state, and one
+// witness path is pinned as text.
+func TestTruncatedPathsResolveLabels(t *testing.T) {
+	sys := latticeSys{n: 8}
+	for _, par := range []int{1, 2} {
+		var st engine.Stats
+		opts := ExploreOptions{Parallelism: par, MaxStates: 20}
+		if par > 1 {
+			opts.Stats = &st
+		}
+		g, err := Explore[int](sys, opts)
+		if !errors.Is(err, ErrStateLimit) {
+			t.Fatalf("par %d: err = %v, want ErrStateLimit", par, err)
+		}
+		for i := 0; i < g.Len(); i++ {
+			p := g.Parent(i)
+			if p < 0 {
+				continue
+			}
+			var want Step[int]
+			for _, s := range sys.Steps(g.State(p)) {
+				if s.To == g.State(i) {
+					want = s
+					break
+				}
+			}
+			if got := g.ParentStep(i); got != want {
+				t.Fatalf("par %d: ParentStep(%d) = %+v, want %+v", par, i, got, want)
+			}
+			path := g.PathTo(i)
+			if last := path[len(path)-1]; last.Label != want.Label || last.Actor != want.Actor {
+				t.Fatalf("par %d: PathTo(%d) ends in %+v, want %+v", par, i, last, want)
+			}
+		}
+		id, ok := g.StateID(2*8 + 3)
+		if !ok {
+			t.Fatalf("par %d: state (3,2) not explored", par)
+		}
+		want := "  1. p0   right0\n" +
+			"  2. p0   right1\n" +
+			"  3. p0   right2\n" +
+			"  4. [env] up0\n" +
+			"  5. [env] up0"
+		if got := g.PathTo(id).String(); got != want {
+			t.Fatalf("par %d: PathTo(3,2):\n%s\nwant\n%s", par, got, want)
+		}
+	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Trace embedding: the refinement half of the paper's unified-model story
 // (§3.6). A live execution observed by internal/runtime refines the
 // explored model iff its event sequence traces a path through the Graph —
@@ -28,31 +30,44 @@ type EmbedResult struct {
 
 // EmbedTrace checks that tr embeds as a path in the explored graph,
 // starting from any initial state. Matching is by exact (Label, Actor)
-// equality against graph edges. The search carries the full set of model
-// states consistent with each prefix (a subset construction over the
-// graph), so label-ambiguous systems embed iff any resolution works;
-// frontier sets are deduplicated per step, bounding work by
+// equality against graph edges; each event's label is resolved to the
+// graph's label id once, so a label the graph never uses fails at its
+// event without a scan. The search carries the full set of model states
+// consistent with each prefix (a subset construction over the graph), so
+// label-ambiguous systems embed iff any resolution works; frontier sets
+// are deduplicated per step, bounding work by
 // O(len(tr) · states · max-degree).
 func (g *Graph[S]) EmbedTrace(tr Trace) EmbedResult {
+	labelIDs := make(map[string]int32, len(g.labels))
+	for id, l := range g.labels {
+		labelIDs[l] = int32(id)
+	}
 	frontier := append([]int(nil), g.inits...)
-	seen := make(map[int]bool, len(frontier))
+	var next []int
+	seen := make([]bool, len(g.states))
 	for i, ev := range tr {
-		next := frontier[:0:0] // fresh backing array; frontier is still read below
-		for k := range seen {
-			delete(seen, k)
+		lid, ok := labelIDs[ev.Label]
+		actor := int32(ev.Actor)
+		if !ok || int(actor) != ev.Actor {
+			// No edge of the graph carries this label or actor.
+			return EmbedResult{FailAt: i, Frontier: sortedIDs(frontier)}
 		}
+		next = next[:0]
 		for _, id := range frontier {
 			for _, e := range g.edges[id] {
-				if e.Label == ev.Label && e.Actor == ev.Actor && !seen[e.To] {
+				if e.Label == lid && e.Actor == actor && !seen[e.To] {
 					seen[e.To] = true
-					next = append(next, e.To)
+					next = append(next, int(e.To))
 				}
 			}
+		}
+		for _, id := range next {
+			seen[id] = false
 		}
 		if len(next) == 0 {
 			return EmbedResult{FailAt: i, Frontier: sortedIDs(frontier)}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	return EmbedResult{Ok: true, Ends: sortedIDs(frontier), FailAt: -1}
 }
@@ -61,12 +76,6 @@ func (g *Graph[S]) EmbedTrace(tr Trace) EmbedResult {
 // deterministic regardless of edge iteration order.
 func sortedIDs(ids []int) []int {
 	out := append([]int(nil), ids...)
-	// Insertion sort: frontiers are small (bounded by label ambiguity, not
-	// graph size) and this avoids an import for the hot path.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -103,3 +103,24 @@ func TestEmbedTraceLabelMismatchAtStart(t *testing.T) {
 		t.Fatalf("frontier %v, want initials %v", res.Frontier, g.Initials())
 	}
 }
+
+// TestEmbedTraceUnknownLabelMidTrace: a label no edge of the graph
+// carries fails at its own event, with the frontier the prefix before it
+// reaches, exactly as a label that exists but is not enabled there.
+func TestEmbedTraceUnknownLabelMidTrace(t *testing.T) {
+	g := exploreEmbed(t)
+	b, _ := g.StateID("B")
+	c, _ := g.StateID("C")
+	for _, tr := range []Trace{
+		{{Label: "a", Actor: 0}, {Label: "never", Actor: 1}},
+		{{Label: "a", Actor: 0}, {Label: "a", Actor: 0}},
+	} {
+		res := g.EmbedTrace(tr)
+		if res.Ok || res.FailAt != 1 || res.Ends != nil {
+			t.Fatalf("%v: got %+v, want a failure at event 1", tr, res)
+		}
+		if !reflect.DeepEqual(res.Frontier, []int{b, c}) {
+			t.Fatalf("%v: frontier %v, want [%d %d]", tr, res.Frontier, b, c)
+		}
+	}
+}

@@ -10,12 +10,12 @@ import (
 
 // maxAllocPerEdge is the committed allocation budget of one exploration,
 // in heap bytes per recorded edge, for the space in TestExploreAllocBudget:
-// the measured 100–102 B/edge (2 workers) plus 25%. The
-// Result's own edge table is 32 B/edge and the space materializes each
-// successor string, so most of the budget is not the engine's. A successor
-// record that regrows by copying or holds label strings again costs over
-// 200 B/edge here.
-const maxAllocPerEdge = 128
+// the measured 78 B/edge (2 workers) plus 25%. The Result's own edge table
+// is 12 B/edge and the space materializes each successor string, so most
+// of the budget is not the engine's. A successor record that regrows by
+// copying or an Edge that holds label strings again (32 B/edge, 100 B/edge
+// here) breaks it.
+const maxAllocPerEdge = 98
 
 // TestExploreAllocBudget holds engine.Explore to maxAllocPerEdge on a
 // fixed spacegen product space (121,500 states, 1,514,700 edges).

@@ -351,6 +351,8 @@ func diffResults[S comparable](a, b *Result[S]) string {
 		return "parent trees differ"
 	case !reflect.DeepEqual(a.ParentEdges, b.ParentEdges):
 		return "parent edges differ"
+	case !reflect.DeepEqual(a.Labels, b.Labels):
+		return fmt.Sprintf("label tables differ (%d vs %d labels)", len(a.Labels), len(b.Labels))
 	case a.Truncated != b.Truncated:
 		return fmt.Sprintf("truncation flags differ: %v vs %v", a.Truncated, b.Truncated)
 	}

@@ -159,11 +159,13 @@ type Options struct {
 }
 
 // Edge is one canonical transition: To is the canonical id of the successor
-// state.
+// state, Actor the process that takes the step, and Label an index into
+// Result.Labels. Edge holds no pointers, so the edge arena a Result carries
+// is never scanned by the garbage collector.
 type Edge struct {
-	To    int
-	Label string
-	Actor int
+	To    int32
+	Actor int32
+	Label int32
 }
 
 // Result is the canonicalized exploration outcome. Ids are dense from 0 in
@@ -180,9 +182,13 @@ type Result[S comparable] struct {
 	Edges [][]Edge
 	// Parents[i] is the canonical id of the state that first reached state
 	// i in BFS order; -1 for initial states.
-	Parents []int
+	Parents []int32
 	// ParentEdges[i] is the transition by which Parents[i] first reached i.
 	ParentEdges []Edge
+	// Labels is the label table Edge.Label indexes, numbered in first-use
+	// order over the canonical BFS edge order, so it is identical at any
+	// worker count and on any store.
+	Labels []string
 	// Truncated reports that the state limit cut the exploration short.
 	Truncated bool
 	// Stats is the exploration telemetry.
@@ -810,7 +816,7 @@ func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
 	res := &Result[S]{
 		States:      make([]S, 0, n),
 		Edges:       make([][]Edge, 0, n),
-		Parents:     make([]int, 0, n),
+		Parents:     make([]int32, 0, n),
 		ParentEdges: make([]Edge, 0, n),
 	}
 	// One arena holds every canonical edge: the per-state Edges slices are
@@ -822,13 +828,20 @@ func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
 		rawTotal += int(ws.edges)
 	}
 	edgeArena := make([]Edge, 0, rawTotal)
+	// labelMap renumbers the run-wide label ids, which depend on which
+	// worker met a label first, into first-use order over the canonical
+	// edge order.
 	labels := e.labels.strs
-	intern := func(pid int32) (int, bool) {
+	labelMap := make([]int32, len(labels))
+	for i := range labelMap {
+		labelMap[i] = -1
+	}
+	intern := func(pid int32) (int32, bool) {
 		if c := canon[pid]; c >= 0 {
-			return int(c), false
+			return c, false
 		}
-		c := len(res.States)
-		canon[pid] = int32(c)
+		c := int32(len(res.States))
+		canon[pid] = c
 		res.States = append(res.States, e.store.State(pid))
 		res.Edges = append(res.Edges, nil)
 		res.Parents = append(res.Parents, -1)
@@ -838,13 +851,13 @@ func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
 	queue := make([]int32, 0, n)
 	for _, pid := range initIDs {
 		c, _ := intern(pid)
-		res.Inits = append(res.Inits, c)
+		res.Inits = append(res.Inits, int(c))
 		queue = append(queue, pid)
 	}
 	var crossBuf []rawEdge
 	for head := 0; head < len(queue); head++ {
 		pid := queue[head]
-		cid := int(canon[pid])
+		cid := canon[pid]
 		sp := e.pspans.get(pid)
 		if sp.worker < 0 {
 			// Unreachable: the level-granular cutoff guarantees the limit
@@ -853,8 +866,14 @@ func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
 		}
 		start := len(edgeArena)
 		for _, r := range e.chunkEdges(sp, &crossBuf) {
+			lid := labelMap[r.label]
+			if lid < 0 {
+				lid = int32(len(res.Labels))
+				labelMap[r.label] = lid
+				res.Labels = append(res.Labels, labels[r.label])
+			}
 			tc, fresh := intern(r.to)
-			edge := Edge{To: tc, Label: labels[r.label], Actor: int(r.actor)}
+			edge := Edge{To: tc, Actor: r.actor, Label: lid}
 			if fresh {
 				if len(res.States) > limit {
 					res.Truncated = true

@@ -65,6 +65,9 @@ func mustEqualResults[S comparable](t *testing.T, label string, a, b *Result[S])
 	if !reflect.DeepEqual(a.ParentEdges, b.ParentEdges) {
 		t.Fatalf("%s: parent edges differ", label)
 	}
+	if !reflect.DeepEqual(a.Labels, b.Labels) {
+		t.Fatalf("%s: label tables differ: %q vs %q", label, a.Labels, b.Labels)
+	}
 	if a.Truncated != b.Truncated {
 		t.Fatalf("%s: truncation flags differ: %v vs %v", label, a.Truncated, b.Truncated)
 	}
@@ -87,7 +90,7 @@ func TestExploreChain(t *testing.T) {
 		t.Fatalf("depth = %d, want 11", res.Stats.Depth)
 	}
 	for i := 1; i < len(res.States); i++ {
-		if res.Parents[i] != i-1 {
+		if int(res.Parents[i]) != i-1 {
 			t.Fatalf("parent[%d] = %d, want %d", i, res.Parents[i], i-1)
 		}
 	}
@@ -240,7 +243,7 @@ func TestSelfLoopsAndReconvergence(t *testing.T) {
 	if len(ref.States) != 4 {
 		t.Fatalf("states = %d, want 4", len(ref.States))
 	}
-	if got := ref.Edges[0][0]; got.To != 0 || got.Label != "self" {
+	if got := ref.Edges[0][0]; got.To != 0 || ref.Labels[got.Label] != "self" {
 		t.Fatalf("self loop edge = %+v", got)
 	}
 	for _, par := range []int{2, 4} {

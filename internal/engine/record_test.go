@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/store"
 )
@@ -15,12 +16,13 @@ import (
 // no replay. Every worker count and store must reproduce its Result.
 func exploreSequential[S comparable](inits []S, expand ExpandFunc[S]) *Result[S] {
 	res := &Result[S]{}
-	index := make(map[S]int)
-	intern := func(s S) (int, bool) {
+	index := make(map[S]int32)
+	labelIDs := make(map[string]int32)
+	intern := func(s S) (int32, bool) {
 		if id, ok := index[s]; ok {
 			return id, false
 		}
-		id := len(res.States)
+		id := int32(len(res.States))
 		index[s] = id
 		res.States = append(res.States, s)
 		res.Edges = append(res.Edges, nil)
@@ -28,10 +30,10 @@ func exploreSequential[S comparable](inits []S, expand ExpandFunc[S]) *Result[S]
 		res.ParentEdges = append(res.ParentEdges, Edge{})
 		return id, true
 	}
-	var queue []int
+	var queue []int32
 	for _, s := range inits {
 		if id, fresh := intern(s); fresh {
-			res.Inits = append(res.Inits, id)
+			res.Inits = append(res.Inits, int(id))
 			queue = append(queue, id)
 		}
 	}
@@ -39,8 +41,14 @@ func exploreSequential[S comparable](inits []S, expand ExpandFunc[S]) *Result[S]
 		id := queue[head]
 		out := []Edge{} // expanded terminals carry an empty, non-nil list
 		x := CollectCtx(func(to S, label string, actor int) {
+			lid, ok := labelIDs[label]
+			if !ok {
+				lid = int32(len(res.Labels))
+				labelIDs[label] = lid
+				res.Labels = append(res.Labels, label)
+			}
 			tid, fresh := intern(to)
-			ed := Edge{To: tid, Label: label, Actor: actor}
+			ed := Edge{To: tid, Actor: int32(actor), Label: lid}
 			if fresh {
 				res.Parents[tid] = id
 				res.ParentEdges[tid] = ed
@@ -98,8 +106,8 @@ func wideExpand(s string, x *Ctx[string]) {
 // TestChunkBoundaryDifferential runs systems whose spans straddle 65,536
 // edge chunk boundaries, and one whose second worker never allocates a
 // chunk, under every record path — full and POR expansion over mem and
-// spill stores — at one and two workers,
-// and requires each Result to equal the sequential BFS byte for byte. The
+// spill stores — at one, two and eight workers, and requires each Result,
+// label table included, to equal the sequential BFS byte for byte. The
 // POR arms use an all-dependent relation, so no proper ample set exists
 // and the reduced graph is the full one; they skip the fan system, whose
 // 70,000-action root would make the ample-set search quadratic.
@@ -117,7 +125,7 @@ func TestChunkBoundaryDifferential(t *testing.T) {
 		want := exploreSequential([]string{"r"}, sys.expand)
 		for _, st := range []string{"mem", "spill"} {
 			for _, por := range sys.por {
-				for _, nw := range []int{1, 2} {
+				for _, nw := range []int{1, 2, 8} {
 					opts := Options{Parallelism: nw}
 					if st == "spill" {
 						opts.Store = store.Config{Kind: store.Spill, MaxBytes: 64 << 10, Dir: t.TempDir()}
@@ -141,7 +149,24 @@ func TestChunkBoundaryDifferential(t *testing.T) {
 // the garbage collector: a pointer field in rawEdge or span would make
 // every chunk and span page a scanned object again.
 func TestRecordTypesArePointerFree(t *testing.T) {
-	for _, typ := range []reflect.Type{reflect.TypeOf(rawEdge{}), reflect.TypeOf(span{})} {
+	mustBeScalar(t, reflect.TypeOf(rawEdge{}), reflect.TypeOf(span{}))
+}
+
+// TestResultTypesArePointerFree keeps the canonical edge arena invisible
+// to the garbage collector and at 12 bytes an edge: a string label or a
+// pointer in Edge would make every Result's arena a scanned object again.
+func TestResultTypesArePointerFree(t *testing.T) {
+	mustBeScalar(t, reflect.TypeOf(Edge{}))
+	if sz := unsafe.Sizeof(Edge{}); sz != 12 {
+		t.Errorf("unsafe.Sizeof(Edge{}) = %d, want 12", sz)
+	}
+}
+
+// mustBeScalar fails t for every field of the given struct types that is
+// not a scalar.
+func mustBeScalar(t *testing.T, types ...reflect.Type) {
+	t.Helper()
+	for _, typ := range types {
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
 			switch f.Type.Kind() {
@@ -149,7 +174,7 @@ func TestRecordTypesArePointerFree(t *testing.T) {
 				reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint,
 				reflect.Bool, reflect.Float32, reflect.Float64:
 			default:
-				t.Errorf("%s.%s has kind %s: the record must hold only scalar fields", typ.Name(), f.Name, f.Type.Kind())
+				t.Errorf("%s.%s has kind %s: the type must hold only scalar fields", typ.Name(), f.Name, f.Type.Kind())
 			}
 		}
 	}
