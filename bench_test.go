@@ -24,6 +24,7 @@ import (
 	"repro/internal/sessions"
 	"repro/internal/sharedmem"
 	"repro/internal/spec"
+	"repro/internal/store"
 	"repro/internal/synth"
 )
 
@@ -367,6 +368,29 @@ func BenchmarkExploreSequentialFLP(b *testing.B) {
 
 func BenchmarkExploreParallelFLP(b *testing.B) {
 	benchExplore(b, flp.NewSystem(flp.NewWaitQuorum(4), nil, 1), true)
+}
+
+// BenchmarkExploreSpillFLP explores the same FLP space through the spill
+// store under an 8 MiB payload budget, so most payloads spill and dedup
+// hits confirm against pages read back from disk. It is the profiling
+// target for the store's intern and read-back paths:
+//
+//	go test -run '^$' -bench ExploreSpillFLP -benchtime 3x -memprofile spill.prof .
+func BenchmarkExploreSpillFLP(b *testing.B) {
+	b.ReportAllocs()
+	sys := flp.NewSystem(flp.NewWaitQuorum(4), nil, 1)
+	var states int
+	for i := 0; i < b.N; i++ {
+		g, err := core.Explore[string](sys, core.ExploreOptions{
+			Store: store.Config{Kind: store.Spill, MaxBytes: 8 << 20, Dir: b.TempDir()},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states = g.Len()
+	}
+	b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/sec")
+	b.ReportMetric(float64(states), "states")
 }
 
 // Quotient counterparts of the two exploration benches above: same systems

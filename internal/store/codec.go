@@ -1,18 +1,25 @@
 package store
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // codec serializes state payloads for segment files. enc appends the
 // encoding of s to dst and returns the grown slice — the append form is
 // what lets the spill path reuse one scratch buffer per page instead of
-// allocating per state. dec must tolerate b aliasing a larger buffer.
+// allocating per state. dec must tolerate b aliasing a larger buffer, and
+// may return a view of b rather than a copy (string states do): the
+// caller must never write b afterwards. width is the fixed encoded size,
+// or 0 when it varies; dec may assume len(b) == width when it is set.
 type codec[S comparable] struct {
-	enc func(dst []byte, s *S) []byte
-	dec func(b []byte) S
+	enc   func(dst []byte, s *S) []byte
+	dec   func(b []byte) S
+	width int
 }
 
 // codecFor resolves the payload codec for S: strings encode as their raw
-// bytes, integers as 8-byte little-endian. Every canonical state type in
+// bytes (and decode as views of them), integers as 8-byte little-endian. Every canonical state type in
 // this repository (encoded protocol strings, small-int toy systems) is
 // covered; exotic comparable types return nil and make the spill backend
 // fail with ErrNoCodec rather than silently mis-serialize.
@@ -24,7 +31,9 @@ func codecFor[S comparable]() *codec[S] {
 			enc: func(dst []byte, s *S) []byte { return append(dst, *any(s).(*string)...) },
 			dec: func(b []byte) S {
 				var s S
-				*any(&s).(*string) = string(b)
+				if len(b) > 0 {
+					*any(&s).(*string) = unsafe.String(&b[0], len(b))
+				}
 				return s
 			},
 		}
@@ -78,6 +87,7 @@ func intCodec[S comparable](get func(*S) uint64, set func(uint64, *S)) *codec[S]
 			set(binary.LittleEndian.Uint64(b), &s)
 			return s
 		},
+		width: 8,
 	}
 }
 

@@ -1,73 +1,15 @@
 package store
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// memEntryOverhead approximates the per-state index cost of a mem-backend
-// entry: the open-addressing slot share (fingerprint + id at ~75% load)
-// plus the paged-table slot. Accounting only — never correctness.
-const memEntryOverhead = 48
-
-// memShardInitSlots is the initial open-addressing table size per shard.
-const memShardInitSlots = 64
-
-// memShard is one stripe of the visited set: an open-addressing
-// fingerprint → id table (linear probing, no deletion) with resident-byte
-// accounting and, for string states, a slab arena holding the payload
-// bytes. Compared to the map-of-buckets it replaced, a hit costs one probe
-// sequence over two flat arrays instead of a map lookup plus bucket-slice
-// walk, and a fresh intern allocates nothing in steady state.
-type memShard struct {
-	mu sync.Mutex
-	// fps[i] is the full 64-bit fingerprint of the occupant of slot i;
-	// ids[i] is its id+1, so 0 marks an empty slot. Probing starts at
-	// fingerprint bits disjoint from the shard-selection bits and walks
-	// linearly; equal fingerprints of distinct states (a real 64-bit
-	// collision, or the test-only degraded fingerprint) simply occupy
-	// separate slots and are disambiguated by payload confirmation.
-	fps  []uint64
-	ids  []int32
-	used int
-	// bytes is atomic (not mutex-guarded like the rest): Stats may run from
-	// the telemetry monitor while workers intern, and reads it without
-	// taking every shard's mutex.
-	bytes atomic.Int64
-	arena slab
-}
-
-// probeAt returns the slot index where h's probe sequence starts. The low
-// byte of h selects the shard, so the start position uses the bits above
-// it to keep the within-shard spread independent of the sharding.
-func probeAt(h uint64, n int) int { return int((h >> 8) & uint64(n-1)) }
-
-// grow doubles the table and reinserts every occupant. Caller holds mu.
-func (sh *memShard) grow() {
-	oldFps, oldIds := sh.fps, sh.ids
-	n := len(oldFps) * 2
-	sh.fps = make([]uint64, n)
-	sh.ids = make([]int32, n)
-	for j, idp := range oldIds {
-		if idp == 0 {
-			continue
-		}
-		h := oldFps[j]
-		i := probeAt(h, n)
-		for sh.ids[i] != 0 {
-			i = (i + 1) & (n - 1)
-		}
-		sh.fps[i] = h
-		sh.ids[i] = idp
-	}
-}
+import "sync/atomic"
 
 // memStore is the RAM-resident backend: open-addressing fingerprint
-// shards over the shared paged id -> payload table. String payloads are
-// copied into per-shard slab arenas and stored as zero-copy views, so the
-// hot intern path allocates only on chunk turnover and table growth.
+// shards (see shard) over the shared paged id -> payload table. String
+// payloads are copied into per-shard slab arenas and stored as zero-copy
+// views, so the hot intern path allocates only on chunk turnover and
+// table growth. A fingerprint match is confirmed against the resident
+// payload.
 type memStore[S comparable] struct {
-	shards   []*memShard
+	shards   []*shard
 	mask     uint64
 	fp       func(*S) uint64
 	sizeOf   func(*S) int64
@@ -80,19 +22,13 @@ func newMemStore[S comparable](shards int, fp func(*S) uint64) *memStore[S] {
 	var zero S
 	_, isString := any(zero).(string)
 	st := &memStore[S]{
-		shards:   make([]*memShard, shards),
+		shards:   newShards(shards),
 		mask:     uint64(shards - 1),
 		fp:       fp,
 		sizeOf:   sizeOfFunc[S](),
 		isString: isString,
 	}
 	st.pages.init(0)
-	for i := range st.shards {
-		st.shards[i] = &memShard{
-			fps: make([]uint64, memShardInitSlots),
-			ids: make([]int32, memShardInitSlots),
-		}
-	}
 	return st
 }
 
@@ -100,43 +36,17 @@ func (st *memStore[S]) Intern(s S) (int32, bool) {
 	h := st.fp(&s)
 	sh := st.shards[h&st.mask]
 	sh.mu.Lock()
-	id, fresh := st.intern(sh, h, s)
-	sh.mu.Unlock()
-	return id, fresh
-}
-
-// intern is the body of Intern; the caller holds sh.mu.
-func (st *memStore[S]) intern(sh *memShard, h uint64, s S) (int32, bool) {
-	mask := len(sh.ids) - 1
-	i := probeAt(h, len(sh.ids))
-	for {
-		idp := sh.ids[i]
-		if idp == 0 {
-			break
-		}
-		if sh.fps[i] == h && st.pages.get(idp-1) == s {
+	defer sh.mu.Unlock()
+	i, idp := sh.first(h)
+	for ; idp != 0; i, idp = sh.next(h, i) {
+		if st.pages.get(idp-1) == s {
 			return idp - 1, false
 		}
-		i = (i + 1) & mask
 	}
 	id := int32(st.counter.Add(1) - 1)
-	sh.fps[i] = h
-	sh.ids[i] = id + 1
-	if st.isString {
-		// Copy the payload into the shard's slab so the store owns dense,
-		// stable bytes regardless of where the caller's string came from.
-		view := sh.arena.addString(*any(&s).(*string))
-		var owned S
-		*any(&owned).(*string) = view
-		st.pages.set(id, owned)
-	} else {
-		st.pages.set(id, s)
-	}
-	sh.bytes.Add(st.sizeOf(&s) + memEntryOverhead)
-	sh.used++
-	if sh.used*16 >= len(sh.ids)*13 {
-		sh.grow()
-	}
+	st.pages.set(id, own(sh, s))
+	sh.bytes.Add(st.sizeOf(&s) + indexEntryOverhead)
+	sh.put(i, h, id)
 	return id, true
 }
 
@@ -152,39 +62,18 @@ func (st *memStore[S]) BytesSupported() bool { return st.isString }
 func (st *memStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
 	sh := st.shards[h&st.mask]
 	sh.mu.Lock()
-	id, fresh := st.internBytes(sh, h, b)
-	sh.mu.Unlock()
-	return id, fresh
-}
-
-// internBytes is the body of InternBytes; the caller holds sh.mu.
-func (st *memStore[S]) internBytes(sh *memShard, h uint64, b []byte) (int32, bool) {
-	mask := len(sh.ids) - 1
-	i := probeAt(h, len(sh.ids))
-	for {
-		idp := sh.ids[i]
-		if idp == 0 {
-			break
+	defer sh.mu.Unlock()
+	i, idp := sh.first(h)
+	for ; idp != 0; i, idp = sh.next(h, i) {
+		v := st.pages.get(idp - 1)
+		if *any(&v).(*string) == string(b) {
+			return idp - 1, false
 		}
-		if sh.fps[i] == h {
-			v := st.pages.get(idp - 1)
-			if *any(&v).(*string) == string(b) {
-				return idp - 1, false
-			}
-		}
-		i = (i + 1) & mask
 	}
 	id := int32(st.counter.Add(1) - 1)
-	sh.fps[i] = h
-	sh.ids[i] = id + 1
-	var owned S
-	*any(&owned).(*string) = sh.arena.addBytes(b)
-	st.pages.set(id, owned)
-	sh.bytes.Add(int64(len(b)) + stringHeaderBytes + memEntryOverhead)
-	sh.used++
-	if sh.used*16 >= len(sh.ids)*13 {
-		sh.grow()
-	}
+	st.pages.set(id, ownBytes[S](sh, b))
+	sh.bytes.Add(int64(len(b)) + stringHeaderBytes + indexEntryOverhead)
+	sh.put(i, h, id)
 	return id, true
 }
 
@@ -195,16 +84,12 @@ func (st *memStore[S]) Probe(s S) (int32, bool) {
 	sh := st.shards[h&st.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	mask := len(sh.ids) - 1
-	for i := probeAt(h, len(sh.ids)); ; i = (i + 1) & mask {
-		idp := sh.ids[i]
-		if idp == 0 {
-			return -1, false
-		}
-		if sh.fps[i] == h && st.pages.get(idp-1) == s {
+	for i, idp := sh.first(h); idp != 0; i, idp = sh.next(h, i) {
+		if st.pages.get(idp-1) == s {
 			return idp - 1, true
 		}
 	}
+	return -1, false
 }
 
 func (st *memStore[S]) Len() int { return int(st.counter.Load()) }

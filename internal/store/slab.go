@@ -8,7 +8,7 @@ import "unsafe"
 const slabChunkSize = 64 << 10
 
 // slab is an append-only byte arena handing out immutable string views of
-// the bytes copied into it. It exists so the mem backend can intern a
+// the bytes copied into it. It exists so the exact backends can intern a
 // state payload with zero per-state allocations in steady state: the copy
 // lands in the current chunk and the returned string is an unsafe.String
 // view of those bytes — no per-string header allocation, no fragmentation.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,13 +17,14 @@ import (
 	"repro/internal/obs"
 )
 
-// The spill backend keeps the fingerprint index in RAM — buckets hold ids
-// only — while state payloads live in the paged table until the resident
-// budget is exceeded, at which point Maintain moves whole pages of the
-// *oldest* payloads into flate-compressed, append-only segment files. Ids
-// are assigned in interning order, so "oldest" means the earliest BFS
-// levels: exactly the states the frontier's dedup hits target least, which
-// keeps the confirm-read rate low. A fingerprint hit on a spilled id is
+// The spill backend shares the mem backend's index (see shard): the
+// open-addressing fingerprint table stays in RAM and fresh string
+// payloads are slab-copied into the paged table, until the resident
+// budget is exceeded. Then Maintain moves whole pages of the *oldest*
+// payloads into flate-compressed, append-only segment files. Ids are
+// assigned in interning order, so "oldest" means the earliest BFS levels:
+// exactly the states the frontier's dedup hits target least, which keeps
+// the confirm-read rate low. A fingerprint match on a spilled id is
 // confirmed by decompressing its page back (served through a small LRU
 // page cache), so the backend stays exact: no 64-bit collision is ever
 // trusted.
@@ -34,12 +37,12 @@ import (
 //
 // Each page is an independent flate stream at a recorded (segment, offset,
 // length), so a single confirm decompresses one page, never a segment.
-// Crash safety is an explicit non-goal: segments hold no redundancy or
-// checksums and are deleted on Close; a store never outlives its run.
-
-// spillIndexOverhead approximates the per-state RAM cost of an index entry
-// (bucket share plus id).
-const spillIndexOverhead = 24
+// pageMeta also records the CRC-32C of the compressed bytes: flate has no
+// checksum of its own, so without it a damaged segment could decode to a
+// silently wrong state. A page read back is one fresh buffer, and its
+// string states are views of it (see codec); the compressed-read buffer
+// and the flate reader are reused. Crash safety is still a non-goal:
+// segments are deleted on Close, and a store never outlives its run.
 
 // pageCacheSize is the capacity, in pages, of the decompressed-page LRU
 // cache serving confirm and replay reads.
@@ -50,17 +53,20 @@ const pageCacheSize = 64
 // instead of shaving single pages every barrier.
 const spillLowWater = 0.75
 
-type spillShard struct {
-	mu sync.Mutex
-	m  map[uint64][]int32
-}
+// castagnoli is the CRC-32C table for page checksums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// errPageChecksum reports a spilled page whose compressed bytes no longer
+// match the checksum recorded when it was written.
+var errPageChecksum = errors.New("page checksum mismatch")
 
 // pageMeta locates one spilled page inside the segment files.
 type pageMeta struct {
 	seg     int32
-	off     int64
 	compLen int32
+	off     int64
 	rawLen  int32
+	crc     uint32 // CRC-32C of the compressed bytes
 }
 
 type cacheEnt[S comparable] struct {
@@ -69,7 +75,7 @@ type cacheEnt[S comparable] struct {
 }
 
 type spillStore[S comparable] struct {
-	shards   []*spillShard
+	shards   []*shard
 	mask     uint64
 	fp       func(*S) uint64
 	sizeOf   func(*S) int64
@@ -88,15 +94,22 @@ type spillStore[S comparable] struct {
 	ownDir bool
 
 	// segMu guards everything below: segment files, page metadata, the
-	// decompressed-page cache and the sticky I/O error. Readers holding a
-	// shard lock may take segMu (never the reverse), so lock order is
-	// shard -> seg.
+	// decompressed-page cache, the read buffers and the sticky I/O error.
+	// Readers holding a shard lock may take segMu (never the reverse), so
+	// lock order is shard -> seg.
 	segMu     sync.Mutex
 	segs      []*os.File
 	meta      []pageMeta
 	cache     map[int32]*cacheEnt[S]
 	cacheTick uint64
 	ioErr     error
+
+	// compBuf, compReader and flateR are the page read-back scratch: the
+	// compressed bytes of the page being read and the reader decompressing
+	// them, reused across reads (flateR is created on the first one).
+	compBuf    []byte
+	compReader bytes.Reader
+	flateR     io.ReadCloser
 
 	spilledStates int
 	bytesSpilled  int64
@@ -128,7 +141,7 @@ func newSpillStore[S comparable](cfg Config, shards int, fp func(*S) uint64) (*s
 	var zero S
 	_, isString := any(zero).(string)
 	st := &spillStore[S]{
-		shards:   make([]*spillShard, shards),
+		shards:   newShards(shards),
 		mask:     uint64(shards - 1),
 		fp:       fp,
 		sizeOf:   sizeOfFunc[S](),
@@ -140,9 +153,6 @@ func newSpillStore[S comparable](cfg Config, shards int, fp func(*S) uint64) (*s
 	st.pages.init(cfg.PageBits)
 	if st.maxBytes <= 0 {
 		st.maxBytes = DefaultMaxBytes
-	}
-	for i := range st.shards {
-		st.shards[i] = &spillShard{m: make(map[uint64][]int32)}
 	}
 	st.dir = cfg.Dir
 	if st.dir == "" {
@@ -163,17 +173,17 @@ func (st *spillStore[S]) Intern(s S) (int32, bool) {
 	h := st.fp(&s)
 	sh := st.shards[h&st.mask]
 	sh.mu.Lock()
-	for _, id := range sh.m[h] {
-		if st.equals(id, s) {
-			sh.mu.Unlock()
-			return id, false
+	defer sh.mu.Unlock()
+	i, idp := sh.first(h)
+	for ; idp != 0; i, idp = sh.next(h, i) {
+		if st.equals(idp-1, s) {
+			return idp - 1, false
 		}
 	}
 	id := int32(st.counter.Add(1) - 1)
-	sh.m[h] = append(sh.m[h], id)
-	st.pages.set(id, s)
+	st.pages.set(id, own(sh, s))
 	st.resident.Add(st.sizeOf(&s))
-	sh.mu.Unlock()
+	sh.put(i, h, id)
 	return id, true
 }
 
@@ -182,26 +192,24 @@ func (st *spillStore[S]) BytesSupported() bool { return st.isString }
 
 // InternBytes is the zero-copy intern path (see store.BytesInterner). A
 // dedup hit — the overwhelmingly common case on the hot path — allocates
-// nothing, including when the confirm reads a spilled page back (the
-// comparison against the decoded payload converts nothing). Only a fresh
-// intern materializes the state, which is unavoidable: the payload must
-// outlive the caller's scratch buffer.
+// nothing, including when the confirm reads a spilled page back from the
+// cache (the comparison against the decoded payload converts nothing). A
+// fresh intern slab-copies the bytes, as on the mem backend, so it too
+// allocates only on chunk turnover and table growth.
 func (st *spillStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
 	sh := st.shards[h&st.mask]
 	sh.mu.Lock()
-	for _, id := range sh.m[h] {
-		if st.equalsBytes(id, b) {
-			sh.mu.Unlock()
-			return id, false
+	defer sh.mu.Unlock()
+	i, idp := sh.first(h)
+	for ; idp != 0; i, idp = sh.next(h, i) {
+		if st.equalsBytes(idp-1, b) {
+			return idp - 1, false
 		}
 	}
 	id := int32(st.counter.Add(1) - 1)
-	sh.m[h] = append(sh.m[h], id)
-	var s S
-	*any(&s).(*string) = string(b)
-	st.pages.set(id, s)
-	st.resident.Add(st.sizeOf(&s))
-	sh.mu.Unlock()
+	st.pages.set(id, ownBytes[S](sh, b))
+	st.resident.Add(int64(len(b)) + stringHeaderBytes)
+	sh.put(i, h, id)
 	return id, true
 }
 
@@ -217,7 +225,7 @@ func (st *spillStore[S]) equalsBytes(id int32, b []byte) bool {
 	return *any(&v).(*string) == string(b)
 }
 
-// equals confirms a fingerprint hit against the real payload of id,
+// equals confirms a fingerprint match against the real payload of id,
 // reading the segment back when the payload was spilled. Called with the
 // owning shard locked, which orders it after the payload write of any id
 // interned during the current level (same state, same fingerprint, same
@@ -244,9 +252,9 @@ func (st *spillStore[S]) Probe(s S) (int32, bool) {
 	sh := st.shards[h&st.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, id := range sh.m[h] {
-		if st.equals(id, s) {
-			return id, true
+	for i, idp := sh.first(h); idp != 0; i, idp = sh.next(h, i) {
+		if st.equals(idp-1, s) {
+			return idp - 1, true
 		}
 	}
 	return -1, false
@@ -274,58 +282,131 @@ func (st *spillStore[S]) spilledState(id int32) (S, bool) {
 		return zero, false
 	}
 	t := time.Now()
-	pg, err := st.readPage(pno)
-	if err != nil {
+	ent := st.freeEntry()
+	if err := st.readPage(pno, ent.pg.slots); err != nil {
 		st.ioErr = fmt.Errorf("store: spill read of page %d: %w", pno, err)
 		return zero, false
 	}
 	st.readLat.Observe(int64(time.Since(t)))
 	st.segReads.Add(1)
-	if len(st.cache) >= pageCacheSize {
-		var victim int32
-		oldest := uint64(1<<64 - 1)
-		for p, ent := range st.cache {
-			if ent.lastUse < oldest {
-				oldest, victim = ent.lastUse, p
-			}
-		}
-		delete(st.cache, victim)
-	}
-	st.cache[pno] = &cacheEnt[S]{pg: pg, lastUse: st.cacheTick}
-	return pg.slots[int(id)&st.pages.mask], true
+	ent.lastUse = st.cacheTick
+	st.cache[pno] = ent
+	return ent.pg.slots[int(id)&st.pages.mask], true
 }
 
-// readPage decompresses and decodes one spilled page. Caller holds segMu.
-func (st *spillStore[S]) readPage(pno int32) (*page[S], error) {
-	m := st.meta[pno]
-	comp := make([]byte, m.compLen)
-	if _, err := st.segs[m.seg].ReadAt(comp, m.off); err != nil {
-		return nil, err
+// freeEntry returns a cache entry to read a page into: a new one while the
+// cache has room, else the least recently used one, evicted and recycled.
+// Recycling its slots is safe because slots are only read under segMu and
+// callers copy the state value out. Caller holds segMu.
+func (st *spillStore[S]) freeEntry() *cacheEnt[S] {
+	if len(st.cache) < pageCacheSize {
+		return &cacheEnt[S]{pg: &page[S]{slots: make([]S, st.pages.size)}}
 	}
-	fr := flate.NewReader(bytes.NewReader(comp))
-	raw := make([]byte, m.rawLen)
-	if _, err := io.ReadFull(fr, raw); err != nil {
-		return nil, err
-	}
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("short page image (%d bytes)", len(raw))
-	}
-	count := int(binary.LittleEndian.Uint32(raw))
-	if count < 1 || count > st.pages.size {
-		return nil, fmt.Errorf("corrupt page count %d", count)
-	}
-	offTab := raw[4 : 4+4*(count+1)]
-	payload := raw[4+4*(count+1):]
-	pg := &page[S]{slots: make([]S, st.pages.size)}
-	for i := 0; i < count; i++ {
-		lo := binary.LittleEndian.Uint32(offTab[4*i:])
-		hi := binary.LittleEndian.Uint32(offTab[4*i+4:])
-		if lo > hi || int(hi) > len(payload) {
-			return nil, fmt.Errorf("corrupt page offsets %d..%d", lo, hi)
+	var victim int32
+	oldest := uint64(1<<64 - 1)
+	for p, ent := range st.cache {
+		if ent.lastUse < oldest {
+			oldest, victim = ent.lastUse, p
 		}
-		pg.slots[i] = st.codec.dec(payload[lo:hi])
 	}
-	return pg, nil
+	ent := st.cache[victim]
+	delete(st.cache, victim)
+	return ent
+}
+
+// readPage reads, verifies, decompresses and decodes spilled page pno
+// into slots. The decompressed image is one fresh buffer per page, never
+// written after decoding, so the string states decoded from it are views
+// that stay valid for as long as anything references them — the same
+// lifetime argument as slab's. Caller holds segMu.
+func (st *spillStore[S]) readPage(pno int32, slots []S) error {
+	m := st.meta[pno]
+	if cap(st.compBuf) < int(m.compLen) {
+		st.compBuf = make([]byte, m.compLen)
+	}
+	comp := st.compBuf[:m.compLen]
+	if _, err := st.segs[m.seg].ReadAt(comp, m.off); err != nil {
+		return err
+	}
+	if crc32.Checksum(comp, castagnoli) != m.crc {
+		return errPageChecksum
+	}
+	st.compReader.Reset(comp)
+	if st.flateR == nil {
+		st.flateR = flate.NewReader(&st.compReader)
+	} else if err := st.flateR.(flate.Resetter).Reset(&st.compReader, nil); err != nil {
+		return err
+	}
+	raw := make([]byte, m.rawLen)
+	if _, err := io.ReadFull(st.flateR, raw); err != nil {
+		return err
+	}
+	img, err := decodePage(raw, len(slots))
+	if err != nil {
+		return err
+	}
+	n := img.count()
+	for i := 0; i < n; i++ {
+		b := img.state(i)
+		if w := st.codec.width; w > 0 && len(b) != w {
+			return fmt.Errorf("corrupt state %d: %d bytes, want %d", i, len(b), w)
+		}
+		slots[i] = st.codec.dec(b)
+	}
+	clear(slots[n:])
+	return nil
+}
+
+// pageImage is a validated raw page image (see the layout above): its
+// states are subslices of the image.
+type pageImage struct {
+	offs    []byte // count+1 little-endian u32 payload offsets
+	payload []byte
+}
+
+func (p pageImage) count() int { return len(p.offs)/4 - 1 }
+
+// state returns the payload bytes of state i < count().
+func (p pageImage) state(i int) []byte {
+	lo := binary.LittleEndian.Uint32(p.offs[4*i:])
+	hi := binary.LittleEndian.Uint32(p.offs[4*i+4:])
+	return p.payload[lo:hi:hi]
+}
+
+// decodePage parses a decompressed page image of at most pageSize states.
+// It rejects every image encodePage cannot produce — a count outside
+// [1, pageSize], an offset table or payload cut short, offsets that do
+// not start at 0, that decrease, or that end anywhere but the end of the
+// image — so state(i) of the result is always in bounds. Pure: it only
+// reads raw.
+func decodePage(raw []byte, pageSize int) (pageImage, error) {
+	if len(raw) < 4 {
+		return pageImage{}, fmt.Errorf("short page image (%d bytes)", len(raw))
+	}
+	count := binary.LittleEndian.Uint32(raw)
+	if count < 1 || uint64(count) > uint64(pageSize) {
+		return pageImage{}, fmt.Errorf("corrupt page count %d (page size %d)", count, pageSize)
+	}
+	tab := 4 + 4*(int(count)+1)
+	if len(raw) < tab {
+		return pageImage{}, fmt.Errorf("page image of %d bytes cut short of its %d-entry offset table", len(raw), count+1)
+	}
+	img := pageImage{offs: raw[4:tab], payload: raw[tab:]}
+	if lo := binary.LittleEndian.Uint32(img.offs); lo != 0 {
+		return pageImage{}, fmt.Errorf("corrupt page: first offset %d, want 0", lo)
+	}
+	prev := uint32(0)
+	for i := 1; i <= int(count); i++ {
+		off := binary.LittleEndian.Uint32(img.offs[4*i:])
+		if off < prev {
+			return pageImage{}, fmt.Errorf("corrupt page offsets %d..%d", prev, off)
+		}
+		prev = off
+	}
+	if uint64(prev) != uint64(len(img.payload)) {
+		return pageImage{}, fmt.Errorf("corrupt page: offsets end at %d, payload is %d bytes", prev, len(img.payload))
+	}
+	return img, nil
 }
 
 // Maintain enforces the budget at a level barrier: while resident payload
@@ -392,9 +473,10 @@ func (st *spillStore[S]) spillPages(from, upTo int, target int64) error {
 		st.writeLat.Observe(int64(time.Since(t)))
 		st.meta = append(st.meta, pageMeta{
 			seg:     int32(segNo),
-			off:     fileOff,
 			compLen: int32(len(comp)),
+			off:     fileOff,
 			rawLen:  int32(len(raw)),
+			crc:     crc32.Checksum(comp, castagnoli),
 		})
 		fileOff += int64(len(comp))
 		st.bytesSpilled += int64(len(raw))
@@ -440,7 +522,7 @@ func (st *spillStore[S]) Stats() Stats {
 		ReadLat:           st.readLat.Snapshot(),
 		WriteLat:          st.writeLat.Snapshot(),
 	}
-	out.BytesInRAM = st.resident.Load() + int64(out.States)*spillIndexOverhead
+	out.BytesInRAM = st.resident.Load() + int64(out.States)*indexEntryOverhead
 	st.segMu.Lock()
 	out.SpilledStates = st.spilledStates
 	out.BytesSpilled = st.bytesSpilled

@@ -4,12 +4,14 @@
 // can certify. It extracts the engine's original in-memory sharded map into
 // a StateStore interface with three backends:
 //
-//   - mem: the exact hash-sharded map the engine always had, now with
-//     per-shard byte accounting. Sound, RAM-resident, the default.
-//   - spill: memory-budgeted. The fingerprint index stays in RAM; full
-//     state payloads spill to compressed append-only segment files once a
-//     byte budget is exceeded, and fingerprint hits are confirmed by
-//     reading the segment back. Sound: no 64-bit collision is ever trusted.
+//   - mem: exact and RAM-resident, the default. Fingerprint-sharded
+//     open-addressing tables (shard, in index.go) over slab-backed
+//     payloads, with per-shard byte accounting.
+//   - spill: memory-budgeted, on the same shard index. Full state
+//     payloads spill to compressed append-only segment files once a byte
+//     budget is exceeded, and fingerprint matches are confirmed by
+//     reading the page back, CRC-32C-checked. Sound: no 64-bit collision
+//     is ever trusted.
 //   - bitstate: a fingerprint-only lossy sweep (SPIN's bitstate-hashing
 //     analogue). Colliding states are silently merged, so the explored
 //     graph may undercount the reachable set; Stats.Lossy flags every

@@ -60,42 +60,8 @@ func TestConformanceInsertLookup(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			for i, s := range states {
-				id, fresh := st.Intern(s)
-				if !fresh || id != int32(i) {
-					t.Fatalf("Intern(%q) = (%d, %v), want (%d, true)", s, id, fresh, i)
-				}
-			}
-			if st.Len() != n {
-				t.Fatalf("Len = %d, want %d", st.Len(), n)
-			}
-			// Barrier-equivalent: enforce the budget, then re-check everything.
-			if err := st.Maintain(int32(n)); err != nil {
-				t.Fatal(err)
-			}
-			for i, s := range states {
-				if got := st.State(int32(i)); got != s {
-					t.Fatalf("State(%d) = %q, want %q", i, got, s)
-				}
-				id, fresh := st.Intern(s)
-				if fresh || id != int32(i) {
-					t.Fatalf("re-Intern(%q) = (%d, %v), want (%d, false)", s, id, fresh, i)
-				}
-				pid, ok := st.Probe(s)
-				if !ok || pid != int32(i) {
-					t.Fatalf("Probe(%q) = (%d, %v), want (%d, true)", s, pid, ok, i)
-				}
-			}
-			if _, ok := st.Probe("never-interned"); ok {
-				t.Fatal("Probe of an unknown state reported a hit")
-			}
-			if st.Len() != n {
-				t.Fatalf("Len after re-interning = %d, want %d", st.Len(), n)
-			}
+			checkInsertLookup(t, st, states)
 			ss := st.Stats()
-			if ss.States != n {
-				t.Fatalf("Stats.States = %d, want %d", ss.States, n)
-			}
 			if ss.Lossy != (cfg.Kind == Bitstate) {
 				t.Fatalf("Stats.Lossy = %v for kind %q", ss.Lossy, cfg.ResolvedKind())
 			}
@@ -103,6 +69,53 @@ func TestConformanceInsertLookup(t *testing.T) {
 				t.Fatalf("Stats.Kind = %q, want %q", ss.Kind, cfg.ResolvedKind())
 			}
 		})
+	}
+}
+
+// checkInsertLookup interns states (all distinct) into the empty store st
+// and checks dense ids in interning order, then — after a barrier-time
+// Maintain — payload round-trips, stable re-interning and Probe
+// visibility of every state, and that Probe misses an unknown one.
+func checkInsertLookup(t *testing.T, st StateStore[string], states []string) {
+	t.Helper()
+	n := len(states)
+	for i, s := range states {
+		id, fresh := st.Intern(s)
+		if !fresh || id != int32(i) {
+			t.Fatalf("Intern(%q) = (%d, %v), want (%d, true)", s, id, fresh, i)
+		}
+	}
+	if st.Len() != n {
+		t.Fatalf("Len = %d, want %d", st.Len(), n)
+	}
+	// Barrier-equivalent: enforce the budget, then re-check everything.
+	if err := st.Maintain(int32(n)); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range states {
+		if got := st.State(int32(i)); got != s {
+			t.Fatalf("State(%d) = %q, want %q", i, got, s)
+		}
+		id, fresh := st.Intern(s)
+		if fresh || id != int32(i) {
+			t.Fatalf("re-Intern(%q) = (%d, %v), want (%d, false)", s, id, fresh, i)
+		}
+		pid, ok := st.Probe(s)
+		if !ok || pid != int32(i) {
+			t.Fatalf("Probe(%q) = (%d, %v), want (%d, true)", s, pid, ok, i)
+		}
+	}
+	if _, ok := st.Probe("never-interned"); ok {
+		t.Fatal("Probe of an unknown state reported a hit")
+	}
+	if st.Len() != n {
+		t.Fatalf("Len after re-interning = %d, want %d", st.Len(), n)
+	}
+	if ss := st.Stats(); ss.States != n {
+		t.Fatalf("Stats.States = %d, want %d", ss.States, n)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatalf("Err() = %v", err)
 	}
 }
 
@@ -317,32 +330,67 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
-// TestStatsByteAccounting sanity-checks the mem backend's per-shard
-// accounting: shard totals are positive where populated and sum to
-// BytesInRAM.
+// TestStatsByteAccounting sanity-checks the exact backends' byte
+// accounting. mem: shard totals are positive where populated, sum to
+// BytesInRAM and cover one index entry per state. spill: after Maintain
+// spills part of the payloads, BytesInRAM still covers every payload
+// left resident plus one index entry per state, and is below what the
+// same states cost before spilling.
 func TestStatsByteAccounting(t *testing.T) {
-	st, err := New[string](Config{Kind: Mem}, 4, stringFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for _, s := range testStates(500) {
-		st.Intern(s)
-	}
-	ss := st.Stats()
-	if len(ss.ShardBytes) != 4 {
-		t.Fatalf("ShardBytes has %d entries, want 4", len(ss.ShardBytes))
-	}
-	var sum int64
-	for i, b := range ss.ShardBytes {
-		if b <= 0 {
-			t.Fatalf("shard %d accounts %d bytes over 500 well-spread states", i, b)
+	const n = 500
+	states := testStates(n)
+	t.Run("mem", func(t *testing.T) {
+		st, err := New[string](Config{Kind: Mem}, 4, stringFP)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sum += b
-	}
-	if sum != ss.BytesInRAM || sum < 500*memEntryOverhead {
-		t.Fatalf("BytesInRAM %d vs shard sum %d", ss.BytesInRAM, sum)
-	}
+		defer st.Close()
+		for _, s := range states {
+			st.Intern(s)
+		}
+		ss := st.Stats()
+		if len(ss.ShardBytes) != 4 {
+			t.Fatalf("ShardBytes has %d entries, want 4", len(ss.ShardBytes))
+		}
+		var sum int64
+		for i, b := range ss.ShardBytes {
+			if b <= 0 {
+				t.Fatalf("shard %d accounts %d bytes over %d well-spread states", i, b, n)
+			}
+			sum += b
+		}
+		if sum != ss.BytesInRAM || sum < n*indexEntryOverhead {
+			t.Fatalf("BytesInRAM %d vs shard sum %d", ss.BytesInRAM, sum)
+		}
+	})
+	t.Run("spill", func(t *testing.T) {
+		st, err := New[string](Config{Kind: Spill, MaxBytes: 4 << 10, Dir: t.TempDir(), PageBits: 5}, 4, stringFP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for _, s := range states {
+			st.Intern(s)
+		}
+		before := st.Stats().BytesInRAM
+		if err := st.Maintain(n); err != nil {
+			t.Fatal(err)
+		}
+		ss := st.Stats()
+		if ss.SpilledStates == 0 || ss.SpilledStates == n {
+			t.Fatalf("want a partial spill, got %d of %d states spilled", ss.SpilledStates, n)
+		}
+		var resident int64
+		for _, s := range states[ss.SpilledStates:] {
+			resident += int64(len(s)) + stringHeaderBytes
+		}
+		if want := resident + n*indexEntryOverhead; ss.BytesInRAM < want {
+			t.Fatalf("BytesInRAM %d < resident payload %d + index %d", ss.BytesInRAM, resident, n*indexEntryOverhead)
+		}
+		if ss.BytesInRAM >= before {
+			t.Fatalf("BytesInRAM %d did not fall below its pre-spill %d", ss.BytesInRAM, before)
+		}
+	})
 }
 
 // TestConformanceInternBytes drives the BytesInterner extension through
